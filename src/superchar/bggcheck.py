@@ -19,15 +19,16 @@ from . import diagrams
 from .borels import enumerate_borels
 from .charring import (
     FormalChar,
+    char_even_verma,
     char_narrow,
     char_simple_td,
     char_verma,
     depth_functional,
     xi_of,
     zero_char,
-    _even_verma_floored,
 )
 from .rootdata import (
+    ConsistencyError,
     RankProfile,
     Weight,
     atypicality,
@@ -235,7 +236,7 @@ def restriction_check(lam: Weight, depth: int) -> bool:
             for beta in subset:
                 nu = nu - beta.as_weight()
             if xi_of(nu) >= floor:
-                total = total + _even_verma_floored(nu, floor)
+                total = total + char_even_verma(nu, xi_of(nu) - floor)
     return char_narrow(lam, depth, warn=False).equals(total)
 
 
@@ -283,7 +284,8 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
     alpha = next(a for a in even_positive_roots(p))
     s = reflection(alpha)
     k = coroot_pairing(lam + rho(p), alpha)
-    assert k > 0
+    if k <= 0:
+        raise ConsistencyError(f"coroot pairing {k} of a regular dominant weight is not positive")
 
     chi = char_simple_td(lam, depth)
     big = narrow_image_dims(lam, depth)

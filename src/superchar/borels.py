@@ -222,14 +222,6 @@ def _simple_roots(b: BorelElt) -> tuple[Root, ...]:
     )
 
 
-def positive_system(b: BorelElt) -> frozenset[Root]:
-    return b.positive_roots()
-
-
-def simple_roots(b: BorelElt) -> tuple[Root, ...]:
-    return b.simple_roots()
-
-
 @dataclass(frozen=True)
 class BorelViews:
     partition: tuple[int, ...]

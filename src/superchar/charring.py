@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from . import diagrams
 from .rootdata import (
+    ConsistencyError,
     ProfileMismatch,
     RankProfile,
     Root,
@@ -48,10 +49,6 @@ DEFAULT_DEPTH = 8
 
 class DepthError(ValueError):
     """A coefficient or comparison was requested below the valid cutoff."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two expressions that must agree identically did not; convention bug."""
 
 
 class DepthFunctional:
@@ -324,6 +321,23 @@ def gamma_set(lam: Weight) -> GammaSet:
     return GammaSet(atypicality(lam).gamma)
 
 
+def _units(f: FormalChar, odd=(), even=(), atypical=()) -> FormalChar:
+    """f * prod over odd (1+e^{-beta}) / prod over even (1-e^{-gamma})
+    / prod over atypical (1+e^{-beta}): the unit factors of every closed
+    formula, applied in that order."""
+    for beta in odd:
+        f = f.mul_unit(beta, +1)
+    for gamma in even:
+        f = f.div_unit(gamma, -1)
+    for beta in atypical:
+        f = f.div_unit(beta, +1)
+    return f
+
+
+def _by_index(roots):
+    return sorted(roots, key=lambda r: (r.i, r.j))
+
+
 def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """e^lam * prod over odd positives (1+e^{-beta}) / prod (1-e^{-gamma}).
 
@@ -334,27 +348,12 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     top = lam
     for beta in b.flipped_odd_roots():
         top = top + beta.as_weight()
-    f = monomial(top, depth)
-    for beta in odd_positive_roots(p):
-        f = f.mul_unit(beta, +1)
-    for gamma in even_positive_roots(p):
-        f = f.div_unit(gamma, -1)
-    return f
+    return _units(monomial(top, depth), odd_positive_roots(p), even_positive_roots(p))
 
 
 def char_even_verma(mu: Weight, depth: int) -> FormalChar:
     """Verma character for the even subalgebra: e^mu / prod (1-e^{-gamma})."""
-    f = monomial(mu, depth)
-    for gamma in even_positive_roots(mu.profile):
-        f = f.div_unit(gamma, -1)
-    return f
-
-
-def _even_verma_floored(mu: Weight, floor: int) -> FormalChar:
-    f = _floored(mu, floor)
-    for gamma in even_positive_roots(mu.profile):
-        f = f.div_unit(gamma, -1)
-    return f
+    return _units(monomial(mu, depth), even=even_positive_roots(mu.profile))
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -368,16 +367,21 @@ def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         nu = dot_action_usual(w, mu)
         if xi_of(nu) < floor:
             continue
-        total = total + _even_verma_floored(nu, floor).scale(w.sign)
+        total = total + char_even_verma(nu, xi_of(nu) - floor).scale(w.sign)
     return total
 
 
 def char_kac(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """Even simple character tensored with the odd exterior algebra."""
-    f = char_even_simple(mu, depth)
-    for beta in odd_positive_roots(mu.profile):
-        f = f.mul_unit(beta, +1)
-    return f
+    return _units(char_even_simple(mu, depth), odd_positive_roots(mu.profile))
+
+
+def _narrow(nu: Weight, floor: int, gamma) -> FormalChar:
+    """e^nu * prod over the odd positives outside gamma (1+e^{-beta})
+    / prod (1-e^{-gamma}), valid down to the absolute xi-level `floor`."""
+    p = nu.profile
+    odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
+    return _units(_floored(nu, floor), odd, even_positive_roots(p))
 
 
 def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> FormalChar:
@@ -394,15 +398,8 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
             stacklevel=2,
         )
     gamma = atypicality(lam).gamma
-    quotient = char_verma(_dist(p), lam, depth)
-    for beta in sorted(gamma, key=lambda r: (r.i, r.j)):
-        quotient = quotient.div_unit(beta, +1)
-    product = monomial(lam, depth)
-    for beta in odd_positive_roots(p):
-        if beta not in gamma:
-            product = product.mul_unit(beta, +1)
-    for g in even_positive_roots(p):
-        product = product.div_unit(g, -1)
+    quotient = _units(char_verma(_dist(p), lam, depth), atypical=_by_index(gamma))
+    product = _narrow(lam, xi_of(lam) - depth, gamma)
     if not quotient.equals(product):
         raise ConsistencyError("narrow character: quotient and product forms disagree")
     return product
@@ -431,10 +428,10 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         raise ValueError(f"{lam} must be regular dominant")
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
-    gamma = sorted(atypicality(lam).gamma, key=lambda r: (r.i, r.j))
+    gamma = _by_index(atypicality(lam).gamma)
     GammaSet(frozenset(gamma))
     floor = xi_of(lam) - depth
-    group = weyl_group(p)
+    odd, even = odd_positive_roots(p), even_positive_roots(p)
 
     def moved_gamma(w: WeylElt):
         moved = []
@@ -443,54 +440,22 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
             i = next(k + 1 for k, c in enumerate(image.coeffs) if c == 1)
             j = next(k + 1 for k, c in enumerate(image.coeffs) if c == -1)
             moved.append(Root(p, i, j))
-        return sorted(moved, key=lambda r: (r.i, r.j))
+        return _by_index(moved)
 
     # (a) prefactor times the alternating sum of e^{w.lam} / w(gamma) factors
-    prefactor = monomial(zero_weight(p), depth)
-    for beta in odd_positive_roots(p):
-        prefactor = prefactor.mul_unit(beta, +1)
-    for g in even_positive_roots(p):
-        prefactor = prefactor.div_unit(g, -1)
-    inner = zero_char(p, lam, depth)
-    for w in group:
-        nu = dot_action(w, lam)
-        if xi_of(nu) < floor:
-            continue
-        term = _floored(nu, floor)
-        for beta in moved_gamma(w):
-            term = term.div_unit(beta, +1)
-        inner = inner + term.scale(w.sign)
-    expr_a = prefactor.mul(inner)
-
     # (b) the same sum with the non-atypical odd product inside
-    expr_b = zero_char(p, lam, depth)
-    for w in group:
-        nu = dot_action(w, lam)
-        if xi_of(nu) < floor:
-            continue
-        skip = set(moved_gamma(w))
-        term = _floored(nu, floor)
-        for beta in odd_positive_roots(p):
-            if beta not in skip:
-                term = term.mul_unit(beta, +1)
-        for g in even_positive_roots(p):
-            term = term.div_unit(g, -1)
-        expr_b = expr_b + term.scale(w.sign)
-
     # (c) alternating Verma characters divided by the moved gamma factors
-    expr_c = zero_char(p, lam, depth)
-    for w in group:
+    inner = expr_b = expr_c = zero_char(p, lam, depth)
+    for w in weyl_group(p):
         nu = dot_action(w, lam)
         if xi_of(nu) < floor:
             continue
-        term = _floored(nu, floor)
-        for beta in odd_positive_roots(p):
-            term = term.mul_unit(beta, +1)
-        for g in even_positive_roots(p):
-            term = term.div_unit(g, -1)
-        for beta in moved_gamma(w):
-            term = term.div_unit(beta, +1)
-        expr_c = expr_c + term.scale(w.sign)
+        moved = moved_gamma(w)
+        top = _floored(nu, floor)
+        inner = inner + _units(top, atypical=moved).scale(w.sign)
+        expr_b = expr_b + _narrow(nu, floor, moved).scale(w.sign)
+        expr_c = expr_c + _units(top, odd, even, moved).scale(w.sign)
+    expr_a = char_verma(_dist(p), zero_weight(p), depth).mul(inner)
 
     if not (expr_a.equals(expr_b) and expr_b.equals(expr_c)):
         raise ConsistencyError("simple-character expressions disagree")
@@ -519,7 +484,7 @@ def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):
                 nu = nu - beta.as_weight()
             tally[nu] += 1
             if xi_of(nu) >= floor:
-                total = total + _even_verma_floored(nu, floor)
+                total = total + char_even_verma(nu, xi_of(nu) - floor)
     shifted = lam + rho(p) - rho_b(b)
     lhs = char_verma(b, shifted, depth)
     if not lhs.equals(total):

@@ -3,8 +3,10 @@
 Weights are entered in coordinates by default ("a1,..,am/b1,..,bn");
 raw basis coefficients go through --coeffs.  Exit status: 0 when the
 requested computation or verification succeeds, 1 when a verification
-fails, 2 on usage errors.  All randomized sweeps take --seed and are
-byte-reproducible.
+fails, 2 on usage errors, 3 when an enumeration would exceed its size
+bound, 4 when two computations that must agree identically do not (an
+internal inconsistency).  Errors print one `error:` line on stderr.  All
+randomized sweeps take --seed and are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,19 @@ import sys
 
 from . import bggcheck, borels, charring, diagrams, rootdata, vermacalc
 
-USAGE_EXIT, FAIL_EXIT = 2, 1
+FAIL_EXIT, USAGE_EXIT, BOUND_EXIT, CONSISTENCY_EXIT = 1, 2, 3, 4
+
+
+def _at_least(least: int):
+    """argparse type: an integer no smaller than `least`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_blocks(text: str, profile: rootdata.RankProfile) -> tuple[list[int], list[int]]:
@@ -24,11 +38,9 @@ def _parse_blocks(text: str, profile: rootdata.RankProfile) -> tuple[list[int], 
         eps = [int(v) for v in eps_part.split(",") if v != ""]
         delta = [int(v) for v in delta_part.split(",") if v != ""]
     except ValueError as exc:
-        raise SystemExit(f"cannot parse weight blocks {text!r}: {exc}")
+        raise ValueError(f"cannot parse weight blocks {text!r}: {exc}") from None
     if len(eps) != profile.m or len(delta) != profile.n:
-        raise SystemExit(
-            f"weight {text!r} does not match gl({profile.m}|{profile.n})"
-        )
+        raise ValueError(f"weight {text!r} does not match gl({profile.m}|{profile.n})")
     return eps, delta
 
 
@@ -39,7 +51,7 @@ def _weight_from_args(args, profile) -> rootdata.Weight:
     if getattr(args, "coords", None):
         eps, delta = _parse_blocks(args.coords, profile)
         return rootdata.weight_from_coords(profile, eps, delta)
-    raise SystemExit("a weight is required: pass --coords or --coeffs")
+    raise ValueError("a weight is required: pass --coords or --coeffs")
 
 
 def _borel_from_args(args, profile) -> borels.BorelElt:
@@ -50,7 +62,7 @@ def _borel_from_args(args, profile) -> borels.BorelElt:
         parts = [int(v) for v in spec.split(",") if v != ""]
         return borels.borel(profile, parts)
     except ValueError as exc:
-        raise SystemExit(f"cannot parse Borel partition {spec!r}: {exc}")
+        raise ValueError(f"cannot parse Borel partition {spec!r}: {exc}") from None
 
 
 def _profile(args) -> rootdata.RankProfile:
@@ -74,7 +86,7 @@ def _add_common(sub, weight=True, borel=False, depth=None):
     if borel:
         sub.add_argument("--borel", help="partition like 2,1 (default: distinguished)")
     if depth is not None:
-        sub.add_argument("--depth", type=int, default=depth)
+        sub.add_argument("--depth", type=_at_least(0), default=depth)
     sub.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -384,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="Verma character sweep over Borel pairs")
     _add_common(sub, weight=False, depth=6)
-    sub.add_argument("--trials", type=int, default=5)
+    sub.add_argument("--trials", type=_at_least(1), default=5)
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_sweep)
 
@@ -393,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_image)
 
     sub = subs.add_parser("suite", help="run the verification battery")
-    sub.add_argument("--depth", type=int, default=8)
+    sub.add_argument("--depth", type=_at_least(0), default=8)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=["text", "json"], default="text")
     sub.set_defaults(func=cmd_suite)
@@ -401,16 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, rootdata.ProfileMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    except ValueError as exc:  # bad input; ProfileMismatch and DepthError included
+        return _error(exc, USAGE_EXIT)
+    except rootdata.EnumerationBound as exc:
+        return _error(exc, BOUND_EXIT)
+    except rootdata.ConsistencyError as exc:
+        return _error(exc, CONSISTENCY_EXIT)
 
 
 if __name__ == "__main__":

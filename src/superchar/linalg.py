@@ -94,7 +94,3 @@ def matrix_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def nullspace_dimension(rows, width: int) -> int:
-    return width - matrix_rank(rows)

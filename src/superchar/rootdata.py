@@ -40,6 +40,10 @@ class EnumerationBound(RuntimeError):
     """An enumeration would exceed its configured size bound."""
 
 
+class ConsistencyError(RuntimeError):
+    """Two expressions that must agree identically did not; convention bug."""
+
+
 @dataclass(frozen=True, slots=True)
 class RankProfile:
     m: int
@@ -235,9 +239,6 @@ class WeylElt:
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
-    def is_identity(self) -> bool:
-        return self.length == 0
-
     def act(self, w: Weight) -> Weight:
         """Permute eps coefficients by sigma and delta coefficients by tau."""
         m, n = len(self.sigma), len(self.tau)
@@ -404,7 +405,8 @@ def dot_action_usual(w: WeylElt, lam: Weight) -> Weight:
     """w(lam + rho0) - rho0, computed with doubled vectors to stay integral."""
     doubled = 2 * lam + rho0_doubled(lam.profile)
     moved = w.act(doubled) - rho0_doubled(lam.profile)
-    assert all(c % 2 == 0 for c in moved.coeffs)
+    if any(c % 2 for c in moved.coeffs):
+        raise ConsistencyError(f"doubled dot action {moved} has an odd coordinate")
     return Weight(lam.profile, tuple(c // 2 for c in moved.coeffs))
 
 

@@ -29,6 +29,7 @@ from .borels import BorelElt, antidistinguished
 from .charring import depth_functional, xi_of
 from .linalg import RowBasis, matrix_rank
 from .rootdata import (
+    ConsistencyError,
     EnumerationBound,
     ProfileMismatch,
     RankProfile,
@@ -62,23 +63,6 @@ def supercommutator(profile: RankProfile, x: tuple[int, int], y: tuple[int, int]
     if l == i:
         terms[(k, j)] = terms.get((k, j), 0) - sign
     return [(c, p) for p, c in terms.items() if c]
-
-
-class StructureConstants:
-    """Bracket table of the basis pairs, built lazily."""
-
-    def __init__(self, profile: RankProfile):
-        self.profile = profile
-        self.table: dict = {}
-
-    def bracket(self, x, y):
-        key = (x, y)
-        if key not in self.table:
-            self.table[key] = supercommutator(self.profile, x, y)
-        return self.table[key]
-
-    def parity(self, pair) -> int:
-        return pair_parity(self.profile, pair)
 
 
 def matrix_of(profile: RankProfile, pair) -> list[list[int]]:
@@ -361,10 +345,6 @@ class VermaElement:
 # Public operations
 
 
-def apply_generator(x: tuple[int, int], elem: VermaElement) -> VermaElement:
-    return elem.module.apply(x, elem)
-
-
 def weight_space_basis(borel: BorelElt, lam: Weight, nu: Weight, depth_cap: int | None = None):
     """Monomials of M^b(lam) at weight nu; count equals the character coefficient."""
     module = VermaModule(borel, lam)
@@ -403,9 +383,11 @@ def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root, module: Verm
     vec = module.element({tuple(mono): 1})
     for simple in borel.simple_roots():
         image = module.apply((simple.i, simple.j), vec)
-        assert image.is_zero(), f"singular vector not annihilated by {simple}"
+        if not image.is_zero():
+            raise ConsistencyError(f"singular vector not annihilated by {simple}")
     expected = dot_action(reflection(alpha), lam, borel)
-    assert vec.weight == expected
+    if vec.weight != expected:
+        raise ConsistencyError(f"singular vector has weight {vec.weight}, not {expected}")
     return vec
 
 
@@ -467,7 +449,8 @@ def e_g1_apply(lam: Weight, module: VermaModule | None = None, order=None) -> Ve
         module = antidistinguished_module(lam)
     pairs = list(order) if order is not None else list(_odd_product_pairs(lam.profile))
     vec = module.apply_word(pairs, module.highest_vector())
-    assert not vec.is_zero() and vec.weight == lam
+    if vec.is_zero() or vec.weight != lam:
+        raise ConsistencyError(f"odd product of weight {vec.weight} does not reach {lam}")
     return vec
 
 

@@ -169,7 +169,7 @@ def test_criterion_07_singular_vectors():
         for k in (1, 2, 3):
             eps, delta = coords_maker(k)
             lam = weight_from_coords(p, eps, delta)
-            # construction hard-asserts annihilation by every simple raiser
+            # construction checks annihilation by every simple raiser
             vec = singular_vector_even(b0, lam, alpha)
             mu = dot_action(reflection(alpha), lam, b0)
             assert vec.weight == mu

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.borels import antidistinguished, distinguished, enumerate_borels
 from superchar.charring import (
@@ -410,3 +412,59 @@ def test_char_simple_td_against_word_rank_oracle():
                 rows.append(row)
             rank = matrix_rank(rows) if rows else len(monos)
             assert rank == chart.coeff(nu), (nu, rank, chart.coeff(nu))
+
+
+# -- window monotonicity -----------------------------------------------------
+# Computing at depth D and retruncating to D' < D must give exactly the
+# series computed at D' directly: the unit-factor products never lose a
+# coefficient near the floor, whichever formula feeds them.
+
+WINDOW_PROFILES = (P(1, 1), P(2, 1), P(1, 2), P(2, 2))
+
+
+@st.composite
+def windowed_weights(draw, dominant=False):
+    """(weight, D, D') on a small profile, with 0 <= D' < D <= 4."""
+    p = draw(st.sampled_from(WINDOW_PROFILES))
+    eps = draw(st.lists(st.integers(-3, 3), min_size=p.m, max_size=p.m))
+    delta = draw(st.lists(st.integers(-3, 3), min_size=p.n, max_size=p.n))
+    if dominant:
+        eps, delta = sorted(eps, reverse=True), sorted(delta, reverse=True)
+    deep = draw(st.integers(1, 4))
+    shallow = draw(st.integers(0, deep - 1))
+    return weight_from_blocks(p, eps, delta), deep, shallow
+
+
+def assert_window_monotone(build, deep, shallow):
+    wide, direct = build(deep), build(shallow)
+    assert wide.top == direct.top
+    assert wide.retruncate(shallow).equals(direct)
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_weights(), st.data())
+def test_window_monotone_char_verma(case, data):
+    lam, deep, shallow = case
+    b = data.draw(st.sampled_from(enumerate_borels(lam.profile)))
+    assert_window_monotone(lambda d: char_verma(b, lam, d), deep, shallow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_weights())
+def test_window_monotone_char_even_verma(case):
+    mu, deep, shallow = case
+    assert_window_monotone(lambda d: char_even_verma(mu, d), deep, shallow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_weights(dominant=True))
+def test_window_monotone_char_kac(case):
+    mu, deep, shallow = case
+    assert_window_monotone(lambda d: char_kac(mu, d), deep, shallow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_weights())
+def test_window_monotone_char_narrow(case):
+    lam, deep, shallow = case
+    assert_window_monotone(lambda d: char_narrow(lam, d, warn=False), deep, shallow)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superchar import charring
 from superchar.cli import main
 
 
@@ -63,8 +64,9 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["char", "--m", "2", "--n", "1", "--coords", "3,0/3"])  # missing --type
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["euler", "--m", "2", "--n", "1", "--coords", "bad"])
+    capsys.readouterr()
+    code, _, err = run(capsys, ["euler", "--m", "2", "--n", "1", "--coords", "bad"])
+    assert code == 2 and err.startswith("error: cannot parse weight blocks")
 
 
 def test_precondition_error_reported(capsys):
@@ -123,3 +125,44 @@ def test_suite_runs(capsys):
     code, out, _ = run(capsys, ["suite", "--depth", "5", "--seed", "0"])
     assert code == 0
     assert "suite: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--m", "1", "--n", "1", "--trials", "-2"],
+        ["sweep", "--m", "1", "--n", "1", "--trials", "0"],
+        ["sweep", "--m", "1", "--n", "1", "--depth", "-1"],
+        ["euler", "--m", "1", "--n", "1", "--coords", "0/0", "--depth", "-1"],
+        ["suite", "--depth", "-1"],
+    ],
+)
+def test_counts_validated_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_enumeration_bound_exit_three(capsys, monkeypatch):
+    code, out, err = run(capsys, ["borels", "--m", "9", "--n", "9"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", "5")
+    code, out, err = run(
+        capsys, ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "3"]
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+def test_consistency_error_exit_four(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise charring.ConsistencyError("narrow character: quotient and product forms disagree")
+
+    monkeypatch.setattr(charring, "char_narrow", disagree)
+    code, out, err = run(
+        capsys, ["char", "--type", "narrow", "--m", "2", "--n", "1", "--coords", "3,0/3"]
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: narrow character: quotient and product forms disagree\n"

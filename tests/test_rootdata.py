@@ -414,3 +414,28 @@ def test_weyl_signs_multiplicative():
 def test_weyl_group_bound():
     with pytest.raises(EnumerationBound):
         weyl_group(P(4, 4), bound=10)
+
+
+# -- load-bearing checks -------------------------------------------------------
+
+
+def test_consistency_error_is_one_class():
+    import superchar
+    from superchar import charring, rootdata
+
+    assert charring.ConsistencyError is rootdata.ConsistencyError
+    assert superchar.ConsistencyError is rootdata.ConsistencyError
+
+
+def test_package_has_no_assert_statements():
+    """python -O strips asserts, so no check in the package may be one."""
+    import ast
+    from pathlib import Path
+
+    import superchar
+
+    offenders = []
+    for path in sorted(Path(superchar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not offenders, f"assert statements in the package: {offenders}"

@@ -18,7 +18,6 @@ from superchar.rootdata import (
     weight_from_coords,
 )
 from superchar.vermacalc import (
-    StructureConstants,
     VermaModule,
     antidistinguished_module,
     bgg_square_check,
@@ -103,13 +102,6 @@ def test_super_jacobi_identity():
         sign = -1 if pair_parity(p, x) and pair_parity(p, y) else 1
         bracket_into(rhs, y, supercommutator(p, x, z), coeff=sign)
         assert {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
-
-
-def test_structure_constants_table():
-    p = P(1, 1)
-    sc = StructureConstants(p)
-    assert sc.bracket((1, 2), (2, 1)) == sc.table[((1, 2), (2, 1))]
-    assert sc.parity((1, 2)) == 1 and sc.parity((1, 1)) == 0
 
 
 # -- weight spaces -------------------------------------------------------------
