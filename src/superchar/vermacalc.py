@@ -17,7 +17,6 @@ straightening, rationals in the linear algebra).
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from collections import deque
@@ -134,6 +133,16 @@ class VermaModule:
         self.neg_index = {p: k for k, p in enumerate(self.neg_pairs)}
         self.raising_pairs = frozenset((r.i, r.j) for r in positives)
         self.zero_mono = (0,) * len(self.neg_pairs)
+        # per slot: coefficient indices the lowering vector moves, its xi-step,
+        # and refund[k], the most xi the slots from k on can give back (only
+        # odd roots of a non-distinguished Borel have a negative step)
+        xi = depth_functional(self.profile).xi
+        self._ends = tuple((r.i - 1, r.j - 1) for r in positives)
+        self._steps = tuple(xi[i] - xi[j] for i, j in self._ends)
+        refund = [0]
+        for step in reversed(self._steps):
+            refund.append(refund[-1] + max(0, -step))
+        self._refund = tuple(reversed(refund))
         self._act_cache: dict = {}
         self._space_cache: dict = {}
 
@@ -228,50 +237,50 @@ class VermaModule:
     # -- weight spaces ---------------------------------------------------------
 
     def weight_space_monomials(self, nu: Weight) -> tuple:
-        """All monomials of weight nu, in lexicographic exponent order."""
+        """All monomials of weight nu, in lexicographic exponent order.
+
+        Found by a depth-first walk over the slots, pruned by the xi budget."""
         if nu in self._space_cache:
             return self._space_cache[nu]
         target = self.lam - nu
-        odd_slots = [k for k, is_odd in enumerate(self.neg_parity) if is_odd]
-        even_slots = [k for k, is_odd in enumerate(self.neg_parity) if not is_odd]
-        xi = depth_functional(self.profile)
-        found = []
-        for mask in itertools.product((0, 1), repeat=len(odd_slots)):
-            remaining = list(target.coeffs)
-            for flag, slot in zip(mask, odd_slots):
-                if flag:
-                    root = self.pbw_roots[slot]
-                    remaining[root.i - 1] -= 1
-                    remaining[root.j - 1] += 1
-            mono = [0] * len(self.neg_pairs)
-            for flag, slot in zip(mask, odd_slots):
-                mono[slot] = flag
-            self._fill_even(remaining, even_slots, 0, mono, found, xi)
-        found.sort()
-        result = tuple(tuple(m) for m in found)
+        result = tuple(sorted(self._monomials(xi_of(target), target.coeffs)))
         self._space_cache[nu] = result
         return result
 
-    def _fill_even(self, remaining, slots, at, mono, found, xi):
-        budget = sum(r * x for r, x in zip(remaining, xi.xi))
-        if budget < 0:
-            return
-        if at == len(slots):
-            if all(r == 0 for r in remaining):
-                found.append(list(mono))
-            return
-        slot = slots[at]
-        root = self.pbw_roots[slot]
-        step = xi.of(root.as_weight())
-        limit = budget // step
-        for count in range(limit + 1):
-            mono[slot] = count
-            remaining[root.i - 1] -= count
-            remaining[root.j - 1] += count
-            self._fill_even(remaining, slots, at + 1, mono, found, xi)
-            remaining[root.i - 1] += count
-            remaining[root.j - 1] -= count
-        mono[slot] = 0
+    def _monomials(self, drop: int, target=None) -> list:
+        """Exponent tuples whose xi-drop below lam is at most `drop`; with
+        `target` (the coefficients of lam - nu), exactly those of weight nu.
+
+        Walks the slots in PBW order, odd exponents 0 or 1 and even ones up
+        to what the budget allows, and stops a branch once the odd slots
+        still to come cannot refund the xi it has overspent."""
+        ends, steps, refund, odd = self._ends, self._steps, self._refund, self.neg_parity
+        last = len(steps)
+        remaining = list(target) if target is not None else [0] * self.profile.dim
+        mono = [0] * last
+        found = []
+
+        def walk(k, left):
+            if left + refund[k] < 0:
+                return
+            if k == last:
+                if target is None or not any(remaining):
+                    found.append(tuple(mono))
+                return
+            step = steps[k]
+            top = 1 if odd[k] else (left + refund[k + 1]) // step
+            i, j = ends[k]
+            for count in range(top + 1):
+                mono[k] = count
+                walk(k + 1, left - count * step)
+                remaining[i] -= 1
+                remaining[j] += 1
+            mono[k] = 0
+            remaining[i] += top + 1
+            remaining[j] -= top + 1
+
+        walk(0, drop)
+        return found
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
         monos = self.weight_space_monomials(nu)
@@ -432,14 +441,10 @@ def _odd_product_pairs(profile: RankProfile):
     return tuple((beta.i, beta.j) for beta in odd_positive_roots(profile))
 
 
-def two_rho1(profile: RankProfile) -> Weight:
-    return rho1_doubled_distinguished(profile)
-
-
 def antidistinguished_module(lam: Weight) -> VermaModule:
     """M^{(n^m)}(lam - 2 rho1), the ambient of the narrow submodule at lam."""
     p = lam.profile
-    return VermaModule(antidistinguished(p), lam - two_rho1(p))
+    return VermaModule(antidistinguished(p), lam - rho1_doubled_distinguished(p))
 
 
 def e_g1_apply(lam: Weight, module: VermaModule | None = None, order=None) -> VermaElement:
@@ -470,37 +475,6 @@ def eg1_order_independence(lam: Weight, trials: int = 4, seed: int = 0) -> bool:
     return True
 
 
-def _window_monomials(module: VermaModule, top: Weight, depth: int):
-    """Basis monomials of the module whose weight lies in the xi-window."""
-    xi = depth_functional(module.profile)
-    ceiling = xi.of(top)
-    odd_slots = [k for k, o in enumerate(module.neg_parity) if o]
-    even_slots = [k for k, o in enumerate(module.neg_parity) if not o]
-    out = []
-    for mask in itertools.product((0, 1), repeat=len(odd_slots)):
-        mono = [0] * len(module.neg_pairs)
-        for flag, slot in zip(mask, odd_slots):
-            mono[slot] = flag
-        base_drop = ceiling - xi.of(module.mono_weight(tuple(mono)))
-        if base_drop > depth:
-            continue
-        budget = depth - base_drop
-
-        def rec(at, left, mono=mono):
-            if at == len(even_slots):
-                out.append(tuple(mono))
-                return
-            slot = even_slots[at]
-            step = xi.of(module.pbw_roots[slot].as_weight())
-            for count in range(left // step + 1):
-                mono[slot] = count
-                rec(at + 1, left - count * step)
-            mono[slot] = 0
-
-        rec(0, budget)
-    return out
-
-
 def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
     """Each even negative simple generator commutes with the odd product,
     as operators on the window, up to one global scalar per generator."""
@@ -518,7 +492,7 @@ def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
         generators.append((p.m + j + 1, p.m + j))
     if not generators:
         return True
-    window = _window_monomials(module, module.lam, depth + xi_of(two_rho1(p)))
+    window = module._monomials(depth + xi_of(rho1_doubled_distinguished(p)))
     for x in generators:
         scalar = None
         for mono in window:
@@ -545,7 +519,15 @@ def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
 
 def _max_cells_default():
     env = os.environ.get("SUPERCHAR_MAX_CELLS")
-    return int(env) if env else DEFAULT_MAX_CELLS
+    if not env:
+        return DEFAULT_MAX_CELLS
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"SUPERCHAR_MAX_CELLS must be a positive integer, got {env!r}")
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -89,6 +89,7 @@ def test_criterion_03_narrow_image_vs_formula():
         (P(2, 1), ([3, 0], [3]), 3),
         (P(2, 2), ([7, 2], [2, 7]), 2),
         (P(2, 2), ([9, 1], [2, 8]), 2),
+        (P(4, 4), ([30, 20, 10, 0], [0, 10, 20, 30]), 2),
     ]
     for p, (eps, delta), depth in cases:
         lam = weight_from_coords(p, eps, delta)

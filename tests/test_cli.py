@@ -156,6 +156,16 @@ def test_enumeration_bound_exit_three(capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_max_cells_env_validated(capsys, monkeypatch, value):
+    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", value)
+    code, out, err = run(
+        capsys, ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: SUPERCHAR_MAX_CELLS must be a positive integer, got {value!r}\n"
+
+
 def test_consistency_error_exit_four(capsys, monkeypatch):
     def disagree(*args, **kwargs):
         raise charring.ConsistencyError("narrow character: quotient and product forms disagree")

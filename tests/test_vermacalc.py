@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.borels import borel, distinguished, enumerate_borels
-from superchar.charring import char_narrow, char_verma
+from superchar.charring import char_narrow, char_verma, depth_functional, xi_of
 from superchar.linalg import RowBasis, matrix_rank
 from superchar.rootdata import (
     EnumerationBound,
@@ -13,6 +17,7 @@ from superchar.rootdata import (
     Weight,
     dot_action,
     reflection,
+    rho1_doubled_distinguished,
     rho_b,
     weight_from_blocks,
     weight_from_coords,
@@ -125,6 +130,54 @@ def test_weight_space_counts_match_characters():
         module = VermaModule(b, lam)
         for nu in cone_weights_below(chart.top, 4):
             assert chart.coeff(nu) == len(module.weight_space_monomials(nu))
+
+
+def box_oracle(module, drop):
+    """(exponents, weight coefficients, xi-drop) for every tuple in the box
+    odd slots 0..1, even slots 0..drop + total refund, by brute force."""
+    xi = depth_functional(module.profile)
+    steps = [xi.of(r.as_weight()) for r in module.pbw_roots]
+    refund = sum(-s for s, odd in zip(steps, module.neg_parity) if odd and s < 0)
+    ranges = [range(2) if odd else range(drop + refund + 1) for odd in module.neg_parity]
+    for mono in itertools.product(*ranges):
+        coeffs = list(module.lam.coeffs)
+        for e, r in zip(mono, module.pbw_roots):
+            coeffs[r.i - 1] -= e
+            coeffs[r.j - 1] += e
+        yield mono, tuple(coeffs), sum(e * s for e, s in zip(mono, steps))
+
+
+@st.composite
+def borel_weights(draw):
+    p = draw(st.sampled_from([P(1, 1), P(2, 1), P(1, 2), P(2, 2), P(3, 1), P(1, 3)]))
+    b = draw(st.sampled_from(enumerate_borels(p)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim))
+    return b, Weight(p, tuple(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(borel_weights())
+def test_weight_space_monomials_match_oracle(case):
+    b, lam = case
+    module = VermaModule(b, lam)
+    weights = cone_weights_below(char_verma(b, lam, 3).top, 3)
+    drop = max(xi_of(lam) - xi_of(nu) for nu in weights)
+    by_weight: dict = {}
+    for mono, coeffs, _ in box_oracle(module, drop):
+        by_weight.setdefault(coeffs, []).append(mono)
+    for nu in weights:
+        assert module.weight_space_monomials(nu) == tuple(sorted(by_weight.get(nu.coeffs, [])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(borel_weights(), st.integers(-1, 2))
+def test_window_monomials_match_oracle(case, depth):
+    # anti-distinguished odd roots have negative xi-steps: lowering by them raises xi
+    _, lam = case
+    module = antidistinguished_module(lam)
+    drop = depth + xi_of(rho1_doubled_distinguished(lam.profile))
+    expected = sorted(mono for mono, _, d in box_oracle(module, drop) if d <= drop)
+    assert sorted(module._monomials(drop)) == expected
 
 
 def test_weight_space_basis_depth_cap():
@@ -411,6 +464,22 @@ def test_row_basis_incremental():
     assert matrix_rank([[1, 2, 3], [0, 1, 1], [1, 3, 4]]) == 2
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(5)]]) == 2
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=5
+        )
+    )
+)
+def test_rank_matches_sympy(rows):
+    expected = sympy.Matrix(rows).rank()
+    basis = RowBasis(len(rows[0]))
+    for row in rows:
+        basis.insert(row)
+    assert matrix_rank(rows) == basis.rank == expected
 
 
 def test_pbw_monomial_view():
