@@ -23,8 +23,6 @@ from .charring import (
     char_narrow,
     char_simple_td,
     char_verma,
-    depth_functional,
-    xi_of,
     zero_char,
 )
 from .rootdata import (
@@ -98,7 +96,7 @@ def euler_check(lam: Weight, depth: int) -> EulerReport:
     lhs = zero_char(p, lam, depth)
     for w in weyl_group(p):
         nu = dot_action(w, lam)
-        sub_depth = depth - (xi_of(lam) - xi_of(nu))
+        sub_depth = depth - (lam.xi - nu.xi)
         if sub_depth < 0:
             continue
         lhs = lhs + char_narrow(nu, sub_depth, warn=False).scale(w.sign)
@@ -179,7 +177,6 @@ def character_shift_sweep(
     ordered pair of Borels; deliberately mis-shifted pairs must differ."""
     rng = random.Random(seed)
     borels = enumerate_borels(profile)
-    xi = depth_functional(profile)
 
     def random_weight():
         return Weight(
@@ -200,7 +197,7 @@ def character_shift_sweep(
                     passed = False
                 # the one-dimensional slot at lam - rho^b, when in window
                 target = lam - rho_b(b)
-                if xi.of(target) >= charts[b2].floor:
+                if target.xi >= charts[b2].floor:
                     coeff_ok += 1
                     if charts[b2].coeff(target) != 1:
                         passed = False
@@ -228,15 +225,15 @@ def restriction_check(lam: Weight, depth: int) -> bool:
     p = lam.profile
     gamma = atypicality(lam).gamma
     usable = [beta for beta in odd_positive_roots(p) if beta not in gamma]
-    floor = xi_of(lam) - depth
+    floor = lam.xi - depth
     total = zero_char(p, lam, depth)
     for size in range(len(usable) + 1):
         for subset in itertools.combinations(usable, size):
             nu = lam
             for beta in subset:
                 nu = nu - beta.as_weight()
-            if xi_of(nu) >= floor:
-                total = total + char_even_verma(nu, xi_of(nu) - floor)
+            if nu.xi >= floor:
+                total = total + char_even_verma(nu, nu.xi - floor)
     return char_narrow(lam, depth, warn=False).equals(total)
 
 
@@ -298,7 +295,7 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
     image = submodule_weight_ranks(module, [embedded], lam, depth)
 
     s_lam = dot_action(s, lam)
-    sub_depth = depth - (xi_of(lam) - xi_of(s_lam))
+    sub_depth = depth - (lam.xi - s_lam.xi)
     small = narrow_image_dims(s_lam, sub_depth) if sub_depth >= 0 else {}
 
     injective = True

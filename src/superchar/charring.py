@@ -3,10 +3,11 @@
 A character is a finite sparse sum of exact integer coefficients on
 weights, valid down to a cutoff of the depth functional xi, which is
 strictly positive on the standard even positive roots and on the
-distinguished odd positive roots.  Every series handled here has its
-support inside top - (nonnegative span of those roots), so truncating
-by xi keeps the data finite while all coefficients at or above the
-cutoff are exact.
+distinguished odd positive roots.  xi is `RankProfile.xi` on the basis
+and `Weight.xi` on a weight, computed once when the weight is built.
+Every series handled here has its support inside top - (nonnegative
+span of those roots), so truncating by xi keeps the data finite while
+all coefficients at or above the cutoff are exact.
 
 Characters of Verma modules for an arbitrary Borel are normalized into
 this cone by rewriting each wrong-direction odd factor
@@ -51,31 +52,6 @@ class DepthError(ValueError):
     """A coefficient or comparison was requested below the valid cutoff."""
 
 
-class DepthFunctional:
-    """xi(eps_i) = m+n-i+1, xi(delta_j) = n-j+1; positive on the cone roots."""
-
-    __slots__ = ("profile", "xi")
-
-    def __init__(self, profile: RankProfile):
-        m, n = profile.m, profile.n
-        self.profile = profile
-        self.xi = tuple(m + n - i + 1 for i in range(1, m + 1)) + tuple(
-            n - j + 1 for j in range(1, n + 1)
-        )
-
-    def of(self, w: Weight) -> int:
-        return sum(a * x for a, x in zip(w.coeffs, self.xi))
-
-
-@lru_cache(maxsize=None)
-def depth_functional(profile: RankProfile) -> DepthFunctional:
-    return DepthFunctional(profile)
-
-
-def xi_of(w: Weight) -> int:
-    return depth_functional(w.profile).of(w)
-
-
 class FormalChar:
     """Sparse exact-integer series, valid on xi-levels >= xi(top) - depth."""
 
@@ -87,13 +63,12 @@ class FormalChar:
         self.profile = profile
         self.top = top
         self.depth = depth
-        xi = depth_functional(profile)
-        ceiling, floor = xi.of(top), xi.of(top) - depth
+        ceiling, floor = top.xi, top.xi - depth
         cleaned = {}
         for k, v in coeffs.items():
             if v == 0:
                 continue
-            level = xi.of(k)
+            level = k.xi
             if level < floor or level > ceiling:
                 raise ValueError(
                     f"weight {k} at xi-level {level} outside the window [{floor}, {ceiling}]"
@@ -105,10 +80,10 @@ class FormalChar:
 
     @property
     def floor(self) -> int:
-        return xi_of(self.top) - self.depth
+        return self.top.xi - self.depth
 
     def coeff(self, w: Weight) -> int:
-        if xi_of(w) < self.floor:
+        if w.xi < self.floor:
             raise DepthError(f"{w} lies below the valid cutoff of this series")
         return self.coeffs.get(w, 0)
 
@@ -116,7 +91,7 @@ class FormalChar:
         return set(self.coeffs)
 
     def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (-xi_of(kv[0]), kv[0].coeffs))
+        return sorted(self.coeffs.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -128,7 +103,7 @@ class FormalChar:
 
     def _join_top(self, other: "FormalChar") -> Weight:
         a, b = self.top, other.top
-        return a if (xi_of(a), a.coeffs) >= (xi_of(b), b.coeffs) else b
+        return a if (a.xi, a.coeffs) >= (b.xi, b.coeffs) else b
 
     def __add__(self, other: "FormalChar") -> "FormalChar":
         if not isinstance(other, FormalChar):
@@ -140,9 +115,8 @@ class FormalChar:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        xi = depth_functional(self.profile)
-        out = {k: v for k, v in out.items() if xi.of(k) >= floor}
-        return FormalChar(self.profile, top, xi.of(top) - floor, out)
+        out = {k: v for k, v in out.items() if k.xi >= floor}
+        return FormalChar(self.profile, top, top.xi - floor, out)
 
     def __sub__(self, other: "FormalChar") -> "FormalChar":
         return self + other.scale(-1)
@@ -161,13 +135,12 @@ class FormalChar:
             raise ProfileMismatch("cannot multiply characters of different profiles")
         top = self.top + other.top
         depth = min(self.depth, other.depth)
-        xi = depth_functional(self.profile)
-        floor = xi.of(top) - depth
+        floor = top.xi - depth
         out: dict = {}
         for ka, va in self.coeffs.items():
             for kb, vb in other.coeffs.items():
                 k = ka + kb
-                if xi.of(k) < floor:
+                if k.xi < floor:
                     continue
                 out[k] = out.get(k, 0) + va * vb
         return FormalChar(self.profile, top, depth, out)
@@ -183,18 +156,18 @@ class FormalChar:
 
     def _unit_weight(self, beta) -> Weight:
         b = beta.as_weight() if isinstance(beta, Root) else beta
-        if xi_of(b) <= 0:
+        if b.xi <= 0:
             raise ValueError(f"unit factor exponent {b} must have positive xi")
         return b
 
     def mul_unit(self, beta, sign: int = 1) -> "FormalChar":
         """Multiply by (1 + sign * e^{-beta}) for a cone-positive beta."""
         b = self._unit_weight(beta)
-        xi = depth_functional(self.profile)
+        floor = self.floor
         out = dict(self.coeffs)
         for k, v in self.coeffs.items():
             shifted = k - b
-            if xi.of(shifted) >= self.floor:
+            if shifted.xi >= floor:
                 out[shifted] = out.get(shifted, 0) + sign * v
         return FormalChar(self.profile, self.top, self.depth, out)
 
@@ -204,7 +177,6 @@ class FormalChar:
         Solves r[k] = f[k] - sign * r[k + beta] from the top level down.
         """
         b = self._unit_weight(beta)
-        xi = depth_functional(self.profile)
         floor = self.floor
         candidates = set(self.coeffs)
         frontier = list(candidates)
@@ -212,12 +184,12 @@ class FormalChar:
             nxt = []
             for k in frontier:
                 down = k - b
-                if xi.of(down) >= floor and down not in candidates:
+                if down.xi >= floor and down not in candidates:
                     candidates.add(down)
                     nxt.append(down)
             frontier = nxt
         out: dict = {}
-        for k in sorted(candidates, key=xi.of, reverse=True):
+        for k in sorted(candidates, key=lambda w: w.xi, reverse=True):
             value = self.coeffs.get(k, 0) - sign * out.get(k + b, 0)
             if value:
                 out[k] = value
@@ -227,13 +199,12 @@ class FormalChar:
         """Restrict validity; deepening beyond the recorded window is refused."""
         if depth > self.depth:
             raise DepthError("cannot extend a truncated series to a deeper window")
-        xi = depth_functional(self.profile)
-        floor = xi.of(self.top) - depth
+        floor = self.top.xi - depth
         return FormalChar(
             self.profile,
             self.top,
             depth,
-            {k: v for k, v in self.coeffs.items() if xi.of(k) >= floor},
+            {k: v for k, v in self.coeffs.items() if k.xi >= floor},
         )
 
     # -- comparison and serialization ------------------------------------------
@@ -243,17 +214,15 @@ class FormalChar:
         if self.profile != other.profile:
             raise ProfileMismatch("cannot compare characters of different profiles")
         floor = max(self.floor, other.floor)
-        xi = depth_functional(self.profile)
-        a = {k: v for k, v in self.coeffs.items() if xi.of(k) >= floor}
-        b = {k: v for k, v in other.coeffs.items() if xi.of(k) >= floor}
+        a = {k: v for k, v in self.coeffs.items() if k.xi >= floor}
+        b = {k: v for k, v in other.coeffs.items() if k.xi >= floor}
         return a == b
 
     def first_discrepancy(self, other: "FormalChar"):
         """The xi-smallest weight where the two series differ, or None."""
         floor = max(self.floor, other.floor)
-        xi = depth_functional(self.profile)
-        keys = {k for k in itertools.chain(self.coeffs, other.coeffs) if xi.of(k) >= floor}
-        for k in sorted(keys, key=lambda w: (xi.of(w), w.coeffs)):
+        keys = {k for k in itertools.chain(self.coeffs, other.coeffs) if k.xi >= floor}
+        for k in sorted(keys, key=lambda w: (w.xi, w.coeffs)):
             a, b = self.coeffs.get(k, 0), other.coeffs.get(k, 0)
             if a != b:
                 return (k, a, b)
@@ -291,7 +260,7 @@ def zero_char(profile: RankProfile, top: Weight, depth: int) -> FormalChar:
 
 def _floored(lam: Weight, floor: int) -> FormalChar:
     """Monomial e^lam valid down to the absolute xi-level `floor`."""
-    depth = xi_of(lam) - floor
+    depth = lam.xi - floor
     if depth < 0:
         raise DepthError(f"{lam} already lies below the requested floor")
     return monomial(lam, depth)
@@ -361,13 +330,13 @@ def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     if not is_even_dominant(mu):
         raise ValueError(f"{mu} is not dominant for the even subalgebra")
     p = mu.profile
-    floor = xi_of(mu) - depth
+    floor = mu.xi - depth
     total = zero_char(p, mu, depth)
     for w in weyl_group(p):
         nu = dot_action_usual(w, mu)
-        if xi_of(nu) < floor:
+        if nu.xi < floor:
             continue
-        total = total + char_even_verma(nu, xi_of(nu) - floor).scale(w.sign)
+        total = total + char_even_verma(nu, nu.xi - floor).scale(w.sign)
     return total
 
 
@@ -399,7 +368,7 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
         )
     gamma = atypicality(lam).gamma
     quotient = _units(char_verma(_dist(p), lam, depth), atypical=_by_index(gamma))
-    product = _narrow(lam, xi_of(lam) - depth, gamma)
+    product = _narrow(lam, lam.xi - depth, gamma)
     if not quotient.equals(product):
         raise ConsistencyError("narrow character: quotient and product forms disagree")
     return product
@@ -430,7 +399,7 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         raise ValueError(f"{lam} is not totally disconnected")
     gamma = _by_index(atypicality(lam).gamma)
     GammaSet(frozenset(gamma))
-    floor = xi_of(lam) - depth
+    floor = lam.xi - depth
     odd, even = odd_positive_roots(p), even_positive_roots(p)
 
     def moved_gamma(w: WeylElt):
@@ -448,7 +417,7 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     inner = expr_b = expr_c = zero_char(p, lam, depth)
     for w in weyl_group(p):
         nu = dot_action(w, lam)
-        if xi_of(nu) < floor:
+        if nu.xi < floor:
             continue
         moved = moved_gamma(w)
         top = _floored(nu, floor)
@@ -474,7 +443,7 @@ def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):
     """
     p = lam.profile
     odd = odd_positive_roots(p)
-    floor = xi_of(lam) - depth
+    floor = lam.xi - depth
     tally: Counter = Counter()
     total = zero_char(p, lam, depth)
     for size in range(len(odd) + 1):
@@ -483,10 +452,10 @@ def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):
             for beta in subset:
                 nu = nu - beta.as_weight()
             tally[nu] += 1
-            if xi_of(nu) >= floor:
-                total = total + char_even_verma(nu, xi_of(nu) - floor)
+            if nu.xi >= floor:
+                total = total + char_even_verma(nu, nu.xi - floor)
     shifted = lam + rho(p) - rho_b(b)
     lhs = char_verma(b, shifted, depth)
     if not lhs.equals(total):
         raise ConsistencyError("restriction decomposition identity failed")
-    return sorted(tally.items(), key=lambda kv: (-xi_of(kv[0]), kv[0].coeffs))
+    return sorted(tally.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))

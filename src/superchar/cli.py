@@ -227,8 +227,9 @@ def cmd_image(args) -> int:
     ranks = vermacalc.narrow_image_dims(lam, args.depth)
     chart = charring.char_narrow(lam, args.depth, warn=False)
     ok = all(chart.coeff(nu) == rank for nu, rank in ranks.items())
+    ordered = sorted(ranks.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
     lines = [f"narrow image ranks vs character at depth {args.depth}: {'pass' if ok else 'FAIL'}"]
-    for nu, rank in sorted(ranks.items(), key=lambda kv: (-charring.xi_of(kv[0]), kv[0].coeffs)):
+    for nu, rank in ordered:
         lines.append(f"  {nu}: rank {rank} coeff {chart.coeff(nu)}")
     obj = {
         "check": "image",
@@ -239,9 +240,7 @@ def cmd_image(args) -> int:
         "details": {
             "ranks": [
                 {"weight": list(nu.coeffs), "rank": rank, "coeff": chart.coeff(nu)}
-                for nu, rank in sorted(
-                    ranks.items(), key=lambda kv: (-charring.xi_of(kv[0]), kv[0].coeffs)
-                )
+                for nu, rank in ordered
             ]
         },
     }

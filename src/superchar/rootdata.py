@@ -26,7 +26,8 @@ Conventions everything downstream relies on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_WEYL_BOUND = 40320
@@ -48,12 +49,16 @@ class ConsistencyError(RuntimeError):
 class RankProfile:
     m: int
     n: int
+    # the depth functional on the basis, xi(eps_i) = m+n-i+1 and
+    # xi(delta_j) = n-j+1: the levels m+n, ..., 1 in basis order
+    xi: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.m, int) or not isinstance(self.n, int):
             raise TypeError("ranks must be integers")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got ({self.m}, {self.n})")
+        object.__setattr__(self, "xi", tuple(range(self.m + self.n, 0, -1)))
 
     @property
     def dim(self) -> int:
@@ -76,6 +81,8 @@ def _check_same_profile(a, b):
 class Weight:
     profile: RankProfile
     coeffs: tuple[int, ...]
+    # depth level of the weight under profile.xi, computed once here
+    xi: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.profile.dim:
@@ -84,6 +91,7 @@ class Weight:
             )
         if not all(isinstance(c, int) for c in self.coeffs):
             raise TypeError("weights are integral")
+        object.__setattr__(self, "xi", sum(map(operator.mul, self.coeffs, self.profile.xi)))
 
     def __add__(self, other: "Weight") -> "Weight":
         _check_same_profile(self, other)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .borels import BorelElt, antidistinguished
-from .charring import depth_functional, xi_of
 from .linalg import RowBasis, matrix_rank
 from .rootdata import (
     ConsistencyError,
@@ -136,7 +135,7 @@ class VermaModule:
         # per slot: coefficient indices the lowering vector moves, its xi-step,
         # and refund[k], the most xi the slots from k on can give back (only
         # odd roots of a non-distinguished Borel have a negative step)
-        xi = depth_functional(self.profile).xi
+        xi = self.profile.xi
         self._ends = tuple((r.i - 1, r.j - 1) for r in positives)
         self._steps = tuple(xi[i] - xi[j] for i, j in self._ends)
         refund = [0]
@@ -148,13 +147,16 @@ class VermaModule:
 
     # -- monomials ---------------------------------------------------------
 
-    def mono_weight(self, mono) -> Weight:
+    def _mono_coeffs(self, mono) -> tuple[int, ...]:
         out = list(self.lam.coeffs)
-        for exp, root in zip(mono, self.pbw_roots):
+        for exp, (i, j) in zip(mono, self._ends):
             if exp:
-                out[root.i - 1] -= exp
-                out[root.j - 1] += exp
-        return Weight(self.profile, tuple(out))
+                out[i] -= exp
+                out[j] += exp
+        return tuple(out)
+
+    def mono_weight(self, mono) -> Weight:
+        return Weight(self.profile, self._mono_coeffs(mono))
 
     def describe(self, mono) -> PBWMonomial:
         return PBWMonomial(self.borel, self.pbw_roots, tuple(mono), self.mono_weight(mono))
@@ -173,7 +175,7 @@ class VermaModule:
     def act_basis(self, x: tuple[int, int], mono) -> dict:
         """x . (mono . v) as a map mono -> integer coefficient."""
         if x[0] == x[1]:  # Cartan: diagonal on weight vectors
-            scalar = self.mono_weight(mono).coeffs[x[0] - 1]
+            scalar = self._mono_coeffs(mono)[x[0] - 1]
             return {mono: scalar} if scalar else {}
         key = (x, mono)
         hit = self._act_cache.get(key)
@@ -243,7 +245,7 @@ class VermaModule:
         if nu in self._space_cache:
             return self._space_cache[nu]
         target = self.lam - nu
-        result = tuple(sorted(self._monomials(xi_of(target), target.coeffs)))
+        result = tuple(sorted(self._monomials(target.xi, target.coeffs)))
         self._space_cache[nu] = result
         return result
 
@@ -302,10 +304,10 @@ class VermaElement:
     def __init__(self, module: VermaModule, terms: dict):
         self.module = module
         self.terms = {m: Fraction(c) for m, c in terms.items() if c}
-        weights = {module.mono_weight(m) for m in self.terms}
-        if len(weights) > 1:
+        coeffs = {module._mono_coeffs(m) for m in self.terms}
+        if len(coeffs) > 1:
             raise ValueError("inhomogeneous combination of monomials")
-        self.weight = weights.pop() if weights else None
+        self.weight = Weight(module.profile, coeffs.pop()) if coeffs else None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -358,7 +360,7 @@ def weight_space_basis(borel: BorelElt, lam: Weight, nu: Weight, depth_cap: int 
     """Monomials of M^b(lam) at weight nu; count equals the character coefficient."""
     module = VermaModule(borel, lam)
     if depth_cap is not None:
-        drop = xi_of(lam) - xi_of(nu)
+        drop = lam.xi - nu.xi
         if not 0 <= drop <= depth_cap:
             raise ValueError(f"weight {nu} outside the depth cap {depth_cap}")
     return module.weight_space_monomials(nu)
@@ -492,7 +494,7 @@ def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
         generators.append((p.m + j + 1, p.m + j))
     if not generators:
         return True
-    window = module._monomials(depth + xi_of(rho1_doubled_distinguished(p)))
+    window = module._monomials(depth + rho1_doubled_distinguished(p).xi)
     for x in generators:
         scalar = None
         for mono in window:
@@ -540,22 +542,22 @@ def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
     """Weights top - (nonnegative span of the distinguished positive roots)
     within the xi-window, sorted shallow to deep."""
     p = top.profile
-    xi = depth_functional(p)
     roots = [r.as_weight() for r in even_positive_roots(p) + odd_positive_roots(p)]
-    steps = [xi.of(r) for r in roots]
+    steps = [r.xi for r in roots]
+    floor = top.xi - depth
     seen = {top}
     frontier = [top]
     while frontier:
         nxt = []
         for w in frontier:
             for r, s in zip(roots, steps):
-                if xi.of(w) - s >= xi.of(top) - depth:
+                if w.xi - s >= floor:
                     cand = w - r
                     if cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
         frontier = nxt
-    return sorted(seen, key=lambda w: (-xi.of(w), w.coeffs))
+    return sorted(seen, key=lambda w: (-w.xi, w.coeffs))
 
 
 def submodule_weight_ranks(
@@ -572,8 +574,7 @@ def submodule_weight_ranks(
     inside a finite window, so the loop terminates at the exact answer.
     """
     p = module.profile
-    xi = depth_functional(p)
-    floor = xi.of(top) - depth
+    floor = top.xi - depth
     max_cells = _max_cells_default() if max_cells is None else max_cells
     candidates = cone_weights_below(top, depth)
     total_cells = 0
@@ -590,7 +591,7 @@ def submodule_weight_ranks(
         if seed.is_zero():
             continue
         nu = seed.weight
-        if not floor <= xi.of(nu) <= xi.of(top):
+        if not floor <= nu.xi <= top.xi:
             continue
         basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
         if basis.insert(module.coordinates(seed, nu)):
@@ -603,8 +604,7 @@ def submodule_weight_ranks(
             if image.is_zero():
                 continue
             nu = image.weight
-            level = xi.of(nu)
-            if level < floor or level > xi.of(top):
+            if not floor <= nu.xi <= top.xi:
                 continue
             basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
             if basis.insert(module.coordinates(image, nu)):

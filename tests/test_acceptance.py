@@ -11,7 +11,7 @@ import time
 
 from superchar.bggcheck import euler_check, character_shift_sweep, small_rank_exactness
 from superchar.borels import borel_graph, distinguished, enumerate_borels
-from superchar.charring import char_narrow, char_simple_td, char_verma, xi_of
+from superchar.charring import char_narrow, char_simple_td, char_verma
 from superchar.diagrams import (
     is_g1_generic,
     is_totally_disconnected,
@@ -52,7 +52,7 @@ def test_criterion_01_gl11_narrow_image():
     for a, b in [(3, 0), (0, 3), (-2, 5), (4, 4), (0, 0), (-1, -1)]:
         lam = weight_from_coords(p, [a], [b])
         ranks = narrow_image_dims(lam, 1)
-        by_depth = {xi_of(lam) - xi_of(nu): r for nu, r in ranks.items()}
+        by_depth = {lam.xi - nu.xi: r for nu, r in ranks.items()}
         if a != b:  # typical
             assert by_depth == {0: 1, 1: 1}
         else:  # atypical

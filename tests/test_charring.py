@@ -19,7 +19,6 @@ from superchar.charring import (
     char_verma,
     gamma_set,
     monomial,
-    xi_of,
 )
 from superchar.rootdata import (
     RankProfile,
@@ -106,6 +105,36 @@ def test_ring_laws_on_random_series():
         assert (a * (b + c)).equals(a * b + a * c)
 
 
+@st.composite
+def random_series(draw):
+    """Three series on one window profile, each a monomial times unit factors."""
+    p = draw(st.sampled_from(WINDOW_PROFILES))
+    roots = list(even_positive_roots(p)) + list(odd_positive_roots(p))
+
+    def series():
+        top = Weight(p, tuple(draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim))))
+        f = monomial(top, draw(st.integers(0, 4)))
+        for _ in range(3):
+            f = f.mul_unit(draw(st.sampled_from(roots)), draw(st.sampled_from([1, -1])))
+        return f
+
+    return roots, series(), series(), series()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_series())
+def test_ring_laws_property(case):
+    roots, a, b, c = case
+    assert (a + b).equals(b + a)
+    assert ((a + b) + c).equals(a + (b + c))
+    assert (a * b).equals(b * a)
+    assert ((a * b) * c).equals(a * (b * c))
+    assert (a * (b + c)).equals(a * b + a * c)
+    for beta in roots:
+        for sign in (1, -1):
+            assert a.mul_unit(beta, sign).div_unit(beta, sign).equals(a)
+
+
 def test_divide_rejects_nonpositive_direction():
     p = P(1, 1)
     f = monomial(zero_weight(p), 3)
@@ -136,7 +165,7 @@ def test_serialization_round_trip_and_order():
     f = char_verma(distinguished(p), lam, 4)
     obj = f.to_json_obj()
     assert obj["terms"][0]["coeff"] == "1"
-    levels = [xi_of(Weight(p, tuple(t["weight"]))) for t in obj["terms"]]
+    levels = [Weight(p, tuple(t["weight"])).xi for t in obj["terms"]]
     assert levels == sorted(levels, reverse=True)
     g = FormalChar.from_json_obj(json.loads(json.dumps(obj)))
     assert g.equals(f) and g.top == f.top and g.depth == f.depth
@@ -181,7 +210,7 @@ def test_character_shift_equalities_and_converse():
                 for b2 in borels:
                     assert charts[b1].equals(charts[b2])
                     target = lam - rho_b(b1)
-                    if xi_of(target) >= charts[b2].floor:
+                    if target.xi >= charts[b2].floor:
                         assert charts[b2].coeff(target) == 1
             # mismatched shift has a different top term
             shifted = char_verma(borels[0], lam + basis_weight(p, 1) - rho_b(borels[0]), 6)
@@ -312,7 +341,7 @@ def test_char_simple_td_typical_is_alternating_verma_sum():
     f = char_simple_td(lam, 6)
     total = None
     for w in weyl_group(p):
-        term = char_verma(distinguished(p), dot_action(w, lam), 6 - (xi_of(lam) - xi_of(dot_action(w, lam)))).scale(w.sign)
+        term = char_verma(distinguished(p), dot_action(w, lam), 6 - (lam.xi - dot_action(w, lam).xi)).scale(w.sign)
         total = term if total is None else total + term
     assert f.equals(total)
 
@@ -389,7 +418,7 @@ def test_char_simple_td_against_word_rank_oracle():
                     return
                 for x in simples:
                     rest = remaining - Root(p, x[0], x[1]).as_weight()
-                    if xi_of(rest) >= 0:
+                    if rest.xi >= 0:
                         word.append(x)
                         rec(word, rest)
                         word.pop()

@@ -1,9 +1,25 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from superchar import charring
 from superchar.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "char_verma_b21": "char --type verma --borel 2,1 --m 2 --n 2 --coords 7,2/2,7 --depth 5",
+    "char_narrow": "char --type narrow --m 2 --n 2 --coords 7,2/2,7 --depth 6",
+    "char_simple_td": "char --type simple-td --m 2 --n 2 --coords 7,2/2,7 --depth 6",
+    "char_kac": "char --type kac --m 2 --n 1 --coords 3,0/3 --depth 6",
+    "char_even_simple": "char --type even-simple --m 2 --n 1 --coords 3,0/3 --depth 6",
+    "euler": "euler --m 2 --n 2 --coords 7,2/2,7 --depth 6",
+    "image_21": "image --m 2 --n 1 --coords 3,0/3 --depth 3",
+    "image_22": "image --m 2 --n 2 --coords 7,2/2,7 --depth 2",
+    "sweep": "sweep --m 2 --n 2 --trials 2 --depth 4 --seed 3",
+    "suite": "suite",
+}
 
 
 def run(capsys, argv):
@@ -176,3 +192,10 @@ def test_consistency_error_exit_four(capsys, monkeypatch):
     )
     assert (code, out) == (4, "")
     assert err == "error: narrow character: quotient and product forms disagree\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_json_matches_golden(capsys, name):
+    code, out, _ = run(capsys, GOLDEN_COMMANDS[name].split() + ["--format", "json"])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.rootdata import (
     Coords,
@@ -19,6 +21,7 @@ from superchar.rootdata import (
     dot_action,
     dot_action_usual,
     encode,
+    even_positive_roots,
     identity_weyl,
     longest_element,
     odd_positive_roots,
@@ -44,6 +47,64 @@ def P(m, n):
 
 def random_weight(rng, p, lo=-6, hi=6):
     return Weight(p, tuple(rng.randint(lo, hi) for _ in range(p.dim)))
+
+
+# -- depth functional ----------------------------------------------------------
+
+profiles = st.builds(RankProfile, st.integers(1, 4), st.integers(1, 4))
+
+
+@st.composite
+def weights(draw, profile=None):
+    p = profile or draw(profiles)
+    return Weight(p, tuple(draw(st.lists(st.integers(-9, 9), min_size=p.dim, max_size=p.dim))))
+
+
+@st.composite
+def weight_pairs(draw):
+    p = draw(profiles)
+    return draw(weights(p)), draw(weights(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights())
+def test_xi_matches_its_closed_formula(w):
+    p = w.profile
+    basis = tuple(p.m + p.n - i + 1 for i in range(1, p.m + 1)) + tuple(
+        p.n - j + 1 for j in range(1, p.n + 1)
+    )
+    assert p.xi == basis
+    assert w.xi == sum(a * x for a, x in zip(w.coeffs, basis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_pairs(), st.integers(-5, 5))
+def test_xi_is_additive(pair, k):
+    a, b = pair
+    assert (a + b).xi == a.xi + b.xi
+    assert (a - b).xi == a.xi - b.xi
+    assert (-a).xi == -a.xi
+    assert (k * a).xi == (a * k).xi == k * a.xi
+
+
+@settings(max_examples=20, deadline=None)
+@given(profiles)
+def test_xi_positive_on_the_cone(p):
+    roots = even_positive_roots(p) + odd_positive_roots(p)
+    assert all(r.as_weight().xi > 0 for r in roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_pairs())
+def test_weight_identity_ignores_xi(pair):
+    a, b = pair
+    p = a.profile
+    twin = Weight(RankProfile(p.m, p.n), a.coeffs)
+    assert twin == a and hash(twin) == hash(a) == hash((p, a.coeffs))
+    assert (a == b) == (a.coeffs == b.coeffs)
+    assert hash(p) == hash((p.m, p.n))
+    assert repr(p) == f"RankProfile(m={p.m}, n={p.n})"
+    assert repr(a) == f"Weight(profile={p!r}, coeffs={a.coeffs!r})"
 
 
 # -- bilinear form -----------------------------------------------------------

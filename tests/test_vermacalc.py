@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superchar.borels import borel, distinguished, enumerate_borels
-from superchar.charring import char_narrow, char_verma, depth_functional, xi_of
+from superchar.charring import char_narrow, char_verma
 from superchar.linalg import RowBasis, matrix_rank
 from superchar.rootdata import (
     EnumerationBound,
@@ -135,8 +135,8 @@ def test_weight_space_counts_match_characters():
 def box_oracle(module, drop):
     """(exponents, weight coefficients, xi-drop) for every tuple in the box
     odd slots 0..1, even slots 0..drop + total refund, by brute force."""
-    xi = depth_functional(module.profile)
-    steps = [xi.of(r.as_weight()) for r in module.pbw_roots]
+    xi = module.profile.xi
+    steps = [sum(a * x for a, x in zip(r.as_weight().coeffs, xi)) for r in module.pbw_roots]
     refund = sum(-s for s, odd in zip(steps, module.neg_parity) if odd and s < 0)
     ranges = [range(2) if odd else range(drop + refund + 1) for odd in module.neg_parity]
     for mono in itertools.product(*ranges):
@@ -161,7 +161,7 @@ def test_weight_space_monomials_match_oracle(case):
     b, lam = case
     module = VermaModule(b, lam)
     weights = cone_weights_below(char_verma(b, lam, 3).top, 3)
-    drop = max(xi_of(lam) - xi_of(nu) for nu in weights)
+    drop = max(lam.xi - nu.xi for nu in weights)
     by_weight: dict = {}
     for mono, coeffs, _ in box_oracle(module, drop):
         by_weight.setdefault(coeffs, []).append(mono)
@@ -175,7 +175,7 @@ def test_window_monomials_match_oracle(case, depth):
     # anti-distinguished odd roots have negative xi-steps: lowering by them raises xi
     _, lam = case
     module = antidistinguished_module(lam)
-    drop = depth + xi_of(rho1_doubled_distinguished(lam.profile))
+    drop = depth + rho1_doubled_distinguished(lam.profile).xi
     expected = sorted(mono for mono, _, d in box_oracle(module, drop) if d <= drop)
     assert sorted(module._monomials(drop)) == expected
 
@@ -201,6 +201,16 @@ def test_cartan_acts_by_weight():
         assert out.terms == {module.zero_mono: Fraction(lam.coeffs[i - 1])} or (
             lam.coeffs[i - 1] == 0 and out.is_zero()
         )
+
+
+def test_element_rejects_mixed_weights():
+    p = P(2, 1)
+    module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [-2]))
+    # slots e1-e2, e1-d1, e2-d1: f(e1-e2) f(e2-d1) and f(e1-d1) share a weight
+    elem = module.element({(1, 0, 1): 1, (0, 1, 0): 2})
+    assert elem.weight == module.mono_weight((0, 1, 0))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        module.element({(0, 0, 0): 1, (0, 1, 0): 1})
 
 
 def test_raising_annihilates_highest_vector():
