@@ -9,6 +9,12 @@ Every series handled here has its support inside top - (nonnegative
 span of those roots), so truncating by xi keeps the data finite while
 all coefficients at or above the cutoff are exact.
 
+A series stores its terms by xi level, as {level: {coefficient tuple:
+int}}, and the ring operations work on those plain tuples.  `Weight`
+objects are built only at the API boundary: the public constructor
+takes a {Weight: int} dict, and `FormalChar.coeffs` is a read-only
+{Weight: int} view whose len() and values() build no Weight.
+
 Characters of Verma modules for an arbitrary Borel are normalized into
 this cone by rewriting each wrong-direction odd factor
 (1 + e^{+beta}) = e^{beta} (1 + e^{-beta}); only the top weight moves,
@@ -20,8 +26,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import Counter
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from . import diagrams
 from .rootdata import (
@@ -52,10 +60,80 @@ class DepthError(ValueError):
     """A coefficient or comparison was requested below the valid cutoff."""
 
 
-class FormalChar:
-    """Sparse exact-integer series, valid on xi-levels >= xi(top) - depth."""
+class _Coeffs(Mapping):
+    """Read-only {Weight: int} view of a level store; builds each Weight
+    only when a key is asked for."""
 
-    __slots__ = ("profile", "top", "depth", "coeffs")
+    __slots__ = ("_profile", "_levels")
+
+    def __init__(self, profile, levels):
+        self._profile = profile
+        self._levels = levels
+
+    def __getitem__(self, w):
+        if isinstance(w, Weight) and w.profile == self._profile:
+            terms = self._levels.get(w.xi, {})
+            if w.coeffs in terms:
+                return terms[w.coeffs]
+        raise KeyError(w)
+
+    def __iter__(self):
+        p = self._profile
+        for terms in self._levels.values():
+            for t in terms:
+                yield Weight(p, t)
+
+    def __len__(self):
+        return sum(map(len, self._levels.values()))
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _Values(ValuesView):
+    """The coefficients, read straight from the levels."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        for terms in self._mapping._levels.values():
+            yield from terms.values()
+
+
+def _add_into(dst: dict, t: tuple, v: int) -> None:
+    """dst[t] += v, dropping the key when it reaches zero."""
+    new = dst.get(t, 0) + v
+    if new:
+        dst[t] = new
+    else:
+        dst.pop(t, None)
+
+
+def _merged(base: dict, terms: dict, shift=None, factor: int = 1) -> dict:
+    """A copy of the level `base` plus factor * `terms`, each term first
+    moved by -shift when a shift is given; zero coefficients are dropped."""
+    dst = dict(base)
+    if shift is None:
+        for t, v in terms.items():
+            _add_into(dst, t, factor * v)
+    else:
+        for t, v in terms.items():
+            _add_into(dst, tuple(map(sub, t, shift)), factor * v)
+    return dst
+
+
+class FormalChar:
+    """Sparse exact-integer series, valid on xi-levels >= xi(top) - depth.
+
+    The terms are stored as {xi level: {coefficient tuple: int}}, with no
+    zero coefficient and no empty level.  Level dicts are never mutated
+    once stored, so results may share them with their operands.
+    """
+
+    __slots__ = ("profile", "top", "depth", "_levels")
 
     def __init__(self, profile, top: Weight, depth: int, coeffs: dict):
         if depth < 0:
@@ -64,7 +142,7 @@ class FormalChar:
         self.top = top
         self.depth = depth
         ceiling, floor = top.xi, top.xi - depth
-        cleaned = {}
+        levels: dict = {}
         for k, v in coeffs.items():
             if v == 0:
                 continue
@@ -73,14 +151,35 @@ class FormalChar:
                 raise ValueError(
                     f"weight {k} at xi-level {level} outside the window [{floor}, {ceiling}]"
                 )
-            cleaned[k] = v
-        self.coeffs = cleaned
+            levels.setdefault(level, {})[k.coeffs] = v
+        self._levels = levels
+
+    @classmethod
+    def _make(cls, profile, top: Weight, depth: int, levels: dict) -> "FormalChar":
+        """A ring result: `levels` is already a clean level store."""
+        ceiling, floor = top.xi, top.xi - depth
+        for level in levels:
+            if level < floor or level > ceiling:
+                raise ConsistencyError(
+                    f"ring result has xi-level {level} outside the window [{floor}, {ceiling}]"
+                )
+        f = object.__new__(cls)
+        f.profile = profile
+        f.top = top
+        f.depth = depth
+        f._levels = levels
+        return f
 
     # -- bookkeeping --------------------------------------------------------
 
     @property
     def floor(self) -> int:
         return self.top.xi - self.depth
+
+    @property
+    def coeffs(self) -> Mapping:
+        """The terms as a read-only {Weight: int} mapping."""
+        return _Coeffs(self.profile, self._levels)
 
     def coeff(self, w: Weight) -> int:
         if w.xi < self.floor:
@@ -90,16 +189,27 @@ class FormalChar:
     def support(self):
         return set(self.coeffs)
 
+    def _sorted_tuples(self):
+        """(coefficient tuple, coeff) by descending level, then by tuple."""
+        for level in sorted(self._levels, reverse=True):
+            terms = self._levels[level]
+            for t in sorted(terms):
+                yield t, terms[t]
+
     def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
+        return [(Weight(self.profile, t), v) for t, v in self._sorted_tuples()]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._levels
 
     def __repr__(self):
         return f"FormalChar(top={self.top}, depth={self.depth}, {len(self.coeffs)} terms)"
 
     # -- ring operations ------------------------------------------------------
+
+    def _levels_from(self, floor: int) -> dict:
+        """The level store cut to levels >= floor, sharing the level dicts."""
+        return {level: terms for level, terms in self._levels.items() if level >= floor}
 
     def _join_top(self, other: "FormalChar") -> Weight:
         a, b = self.top, other.top
@@ -112,11 +222,20 @@ class FormalChar:
             raise ProfileMismatch("cannot add characters of different profiles")
         top = self._join_top(other)
         floor = max(self.floor, other.floor)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        out = {k: v for k, v in out.items() if k.xi >= floor}
-        return FormalChar(self.profile, top, top.xi - floor, out)
+        out = self._levels_from(floor)
+        for level, terms in other._levels.items():
+            if level < floor:
+                continue
+            mine = out.get(level)
+            if mine is None:
+                out[level] = terms
+                continue
+            merged = _merged(mine, terms)
+            if merged:
+                out[level] = merged
+            else:
+                del out[level]
+        return FormalChar._make(self.profile, top, top.xi - floor, out)
 
     def __sub__(self, other: "FormalChar") -> "FormalChar":
         return self + other.scale(-1)
@@ -125,9 +244,13 @@ class FormalChar:
         return self.scale(-1)
 
     def scale(self, k: int) -> "FormalChar":
-        return FormalChar(
-            self.profile, self.top, self.depth, {w: k * v for w, v in self.coeffs.items()}
-        )
+        out = {}
+        if k:
+            out = {
+                level: {t: k * v for t, v in terms.items()}
+                for level, terms in self._levels.items()
+            }
+        return FormalChar._make(self.profile, self.top, self.depth, out)
 
     def mul(self, other: "FormalChar") -> "FormalChar":
         """Full convolution; valid depth is the smaller of the two."""
@@ -137,13 +260,16 @@ class FormalChar:
         depth = min(self.depth, other.depth)
         floor = top.xi - depth
         out: dict = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = ka + kb
-                if k.xi < floor:
+        for la, ta in self._levels.items():
+            for lb, tb in other._levels.items():
+                if la + lb < floor:
                     continue
-                out[k] = out.get(k, 0) + va * vb
-        return FormalChar(self.profile, top, depth, out)
+                dst = out.setdefault(la + lb, {})
+                for ka, va in ta.items():
+                    for kb, vb in tb.items():
+                        _add_into(dst, tuple(map(add, ka, kb)), va * vb)
+        out = {level: terms for level, terms in out.items() if terms}
+        return FormalChar._make(self.profile, top, depth, out)
 
     def __mul__(self, other):
         if isinstance(other, FormalChar):
@@ -154,58 +280,55 @@ class FormalChar:
 
     __rmul__ = __mul__
 
-    def _unit_weight(self, beta) -> Weight:
+    def _unit_step(self, beta) -> tuple[tuple[int, ...], int]:
+        """(coefficient tuple, xi level) of a cone-positive unit exponent."""
         b = beta.as_weight() if isinstance(beta, Root) else beta
         if b.xi <= 0:
             raise ValueError(f"unit factor exponent {b} must have positive xi")
-        return b
+        return b.coeffs, b.xi
 
     def mul_unit(self, beta, sign: int = 1) -> "FormalChar":
         """Multiply by (1 + sign * e^{-beta}) for a cone-positive beta."""
-        b = self._unit_weight(beta)
+        b, step = self._unit_step(beta)
         floor = self.floor
-        out = dict(self.coeffs)
-        for k, v in self.coeffs.items():
-            shifted = k - b
-            if shifted.xi >= floor:
-                out[shifted] = out.get(shifted, 0) + sign * v
-        return FormalChar(self.profile, self.top, self.depth, out)
+        out = dict(self._levels)
+        for level, terms in self._levels.items():
+            low = level - step
+            if low < floor:
+                continue
+            merged = _merged(out.get(low, {}), terms, b, sign)
+            if merged:
+                out[low] = merged
+            else:
+                out.pop(low, None)
+        return FormalChar._make(self.profile, self.top, self.depth, out)
 
     def div_unit(self, beta, sign: int = 1) -> "FormalChar":
         """Divide by (1 + sign * e^{-beta}); exact down to the same floor.
 
-        Solves r[k] = f[k] - sign * r[k + beta] from the top level down.
+        Solves r_l = f_l - sign * shift_beta(r_{l + xi(beta)}) level by
+        level from the top down, shift_beta moving each term by -beta.
         """
-        b = self._unit_weight(beta)
-        floor = self.floor
-        candidates = set(self.coeffs)
-        frontier = list(candidates)
-        while frontier:
-            nxt = []
-            for k in frontier:
-                down = k - b
-                if down.xi >= floor and down not in candidates:
-                    candidates.add(down)
-                    nxt.append(down)
-            frontier = nxt
+        b, step = self._unit_step(beta)
+        src, floor = self._levels, self.floor
         out: dict = {}
-        for k in sorted(candidates, key=lambda w: w.xi, reverse=True):
-            value = self.coeffs.get(k, 0) - sign * out.get(k + b, 0)
-            if value:
-                out[k] = value
-        return FormalChar(self.profile, self.top, self.depth, out)
+        for level in range(max(src, default=floor), floor - 1, -1):
+            above = out.get(level + step)
+            if above is None:
+                if level in src:
+                    out[level] = src[level]
+                continue
+            merged = _merged(src.get(level, {}), above, b, -sign)
+            if merged:
+                out[level] = merged
+        return FormalChar._make(self.profile, self.top, self.depth, out)
 
     def retruncate(self, depth: int) -> "FormalChar":
         """Restrict validity; deepening beyond the recorded window is refused."""
         if depth > self.depth:
             raise DepthError("cannot extend a truncated series to a deeper window")
-        floor = self.top.xi - depth
-        return FormalChar(
-            self.profile,
-            self.top,
-            depth,
-            {k: v for k, v in self.coeffs.items() if k.xi >= floor},
-        )
+        out = self._levels_from(self.top.xi - depth)
+        return FormalChar._make(self.profile, self.top, depth, out)
 
     # -- comparison and serialization ------------------------------------------
 
@@ -214,18 +337,17 @@ class FormalChar:
         if self.profile != other.profile:
             raise ProfileMismatch("cannot compare characters of different profiles")
         floor = max(self.floor, other.floor)
-        a = {k: v for k, v in self.coeffs.items() if k.xi >= floor}
-        b = {k: v for k, v in other.coeffs.items() if k.xi >= floor}
-        return a == b
+        return self._levels_from(floor) == other._levels_from(floor)
 
     def first_discrepancy(self, other: "FormalChar"):
         """The xi-smallest weight where the two series differ, or None."""
         floor = max(self.floor, other.floor)
-        keys = {k for k in itertools.chain(self.coeffs, other.coeffs) if k.xi >= floor}
-        for k in sorted(keys, key=lambda w: (w.xi, w.coeffs)):
-            a, b = self.coeffs.get(k, 0), other.coeffs.get(k, 0)
-            if a != b:
-                return (k, a, b)
+        mine, theirs = self._levels_from(floor), other._levels_from(floor)
+        for level in sorted(mine.keys() | theirs.keys()):
+            a, b = mine.get(level, {}), theirs.get(level, {})
+            for t in sorted(a.keys() | b.keys()):
+                if a.get(t, 0) != b.get(t, 0):
+                    return (Weight(self.profile, t), a.get(t, 0), b.get(t, 0))
         return None
 
     def to_json_obj(self) -> dict:
@@ -233,9 +355,7 @@ class FormalChar:
             "profile": [self.profile.m, self.profile.n],
             "top": list(self.top.coeffs),
             "depth": self.depth,
-            "terms": [
-                {"weight": list(w.coeffs), "coeff": str(c)} for w, c in self.sorted_terms()
-            ],
+            "terms": [{"weight": list(t), "coeff": str(c)} for t, c in self._sorted_tuples()],
         }
 
     @staticmethod

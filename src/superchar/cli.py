@@ -421,6 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked up front, so that a bad value is a usage error before any work
+        vermacalc.max_cells_from_env()
         return args.func(args)
     except ValueError as exc:  # bad input; ProfileMismatch and DepthError included
         return _error(exc, USAGE_EXIT)

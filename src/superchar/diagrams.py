@@ -12,7 +12,11 @@ ordering of the coordinates and never creates a tie (open chambers,
 the strictest reading).  The brute test walks all 2^{mn} subsets; the
 fast test checks that within-block coordinate gaps exceed n on the eps
 block and m on the delta block.  The fast route is trusted by default
-only on the profiles the equivalence suite exercises.
+only on the profiles the equivalence suite exercises: gl(m|n) with m
+and n at most 3, except gl(3|3), each over a coordinate box wide enough
+to hold gaps on both sides of both thresholds.  Every other profile
+stays on the brute walk; at gl(3|3) each weight already has 2^9 subsets
+and a box of that width holds 7^6 weights, too many for the suite.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ CROSS, CIRCLE, VEE, WEDGE = "cross", "circle", "vee", "wedge"
 DEFAULT_SUBSET_BOUND = 1 << 16
 
 # Profiles whose fast gap criterion has a brute-force equivalence suite.
-FAST_VALIDATED = frozenset({(1, 1), (2, 1), (1, 2), (2, 2)})
+FAST_VALIDATED = frozenset({(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3)})
 
 
 @dataclass(frozen=True)

@@ -519,7 +519,9 @@ def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
 # Submodule growth and narrow-module weight ranks
 
 
-def _max_cells_default():
+def max_cells_from_env() -> int:
+    """The cell bound from SUPERCHAR_MAX_CELLS, or the default when unset;
+    anything but a positive integer is a ValueError."""
     env = os.environ.get("SUPERCHAR_MAX_CELLS")
     if not env:
         return DEFAULT_MAX_CELLS
@@ -575,7 +577,7 @@ def submodule_weight_ranks(
     """
     p = module.profile
     floor = top.xi - depth
-    max_cells = _max_cells_default() if max_cells is None else max_cells
+    max_cells = max_cells_from_env() if max_cells is None else max_cells
     candidates = cone_weights_below(top, depth)
     total_cells = 0
     for nu in candidates:

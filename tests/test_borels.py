@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.borels import (
     BorelElt,
@@ -236,6 +238,15 @@ def test_graph_rho_update_identity():
     for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         for e in borel_graph(P(m, n)):
             assert rho_b(e.target) == rho_b(e.source) + e.alpha.as_weight()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_odd_reflection_rho_update_property(m, n, data):
+    """rho^{r_alpha b} = rho^b + alpha at every odd simple root alpha of b."""
+    b = data.draw(st.sampled_from(enumerate_borels(P(m, n))))
+    alpha = data.draw(st.sampled_from([a for a in b.simple_roots() if a.is_odd]))
+    assert rho_b(odd_reflection(b, alpha)) == rho_b(b) + alpha.as_weight()
 
 
 def test_render():

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from superchar.borels import antidistinguished, distinguished, enumerate_borels
 from superchar.charring import (
+    ConsistencyError,
     DepthError,
     FormalChar,
     GammaSet,
@@ -71,6 +73,14 @@ def test_unit_inverse_of_constant():
     assert g.coeffs == {zero_weight(p): 1}
 
 
+def test_unit_factor_with_zero_sign_is_identity():
+    p = P(2, 1)
+    f = char_verma(distinguished(p), weight_from_blocks(p, [2, 0], [-1]), 4)
+    for root in list(even_positive_roots(p)) + list(odd_positive_roots(p)):
+        assert dict(f.mul_unit(root, 0).coeffs.items()) == dict(f.coeffs.items())
+        assert dict(f.div_unit(root, 0).coeffs.items()) == dict(f.coeffs.items())
+
+
 def test_geometric_series():
     p = P(2, 1)
     gamma = Root(p, 1, 2)
@@ -133,6 +143,82 @@ def test_ring_laws_property(case):
     for beta in roots:
         for sign in (1, -1):
             assert a.mul_unit(beta, sign).div_unit(beta, sign).equals(a)
+
+
+def assert_level_store(f):
+    """f's terms sit at their own xi level, inside the window, with no
+    zero coefficient and no empty level, and `coeffs` shows exactly them."""
+    p = f.profile
+    rebuilt = {}
+    for level, terms in f._levels.items():
+        assert terms, f"empty level {level}"
+        assert f.floor <= level <= f.top.xi
+        for t, v in terms.items():
+            assert v != 0
+            assert sum(map(operator.mul, t, p.xi)) == level
+            rebuilt[Weight(p, t)] = v
+    assert dict(f.coeffs.items()) == rebuilt
+    assert len(f.coeffs) == len(rebuilt)
+    assert sorted(f.coeffs.values()) == sorted(rebuilt.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_series())
+def test_level_store_invariant_property(case):
+    roots, a, b, c = case
+    results = [a + b, a - b, a - a, -a, a.scale(3), a.scale(0), a * b, a * c]
+    results += [a.retruncate(d) for d in range(a.depth + 1)]
+    for beta in roots:
+        for sign in (1, -1):
+            results += [a.mul_unit(beta, sign), a.div_unit(beta, sign)]
+    for f in results:
+        assert_level_store(f)
+    assert (a - a).is_zero() and not (a - a).coeffs
+    with pytest.raises(TypeError):
+        a.coeffs[a.top] = 1
+
+
+def test_window_checks():
+    """The public constructor rejects out-of-window terms with ValueError;
+    a ring result outside its window is a ConsistencyError."""
+    p = P(2, 1)
+    top = weight_from_blocks(p, [1, 0], [0])
+    gamma = Root(p, 1, 2).as_weight()
+    assert FormalChar(p, top, 2, {top: 1, top + gamma: 0}).coeffs == {top: 1}
+    for w in (top + gamma, top - 3 * gamma):
+        with pytest.raises(ValueError, match="outside the window"):
+            FormalChar(p, top, 2, {w: 1})
+    with pytest.raises(ConsistencyError, match="outside the window"):
+        FormalChar._make(p, top, 2, {top.xi + 1: {(top + gamma).coeffs: 1}})
+
+
+def test_ring_operations_build_no_weight_per_term(monkeypatch):
+    """div_unit, mul_unit, mul, + and equals build a fixed number of
+    Weights, however many terms their operands hold."""
+    p = P(2, 2)
+    lam = weight_from_blocks(p, [3, 1], [0, -2])
+    beta = Root(p, 1, 3)
+    built_by_depth = []
+    for depth in (8, 10):
+        f = char_verma(distinguished(p), lam, depth)
+        g = char_even_verma(lam, depth)
+        assert len(f.coeffs) >= 100
+        built = []
+        original = Weight.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Weight, "__post_init__", counting)
+            f.div_unit(beta, 1)
+            f.mul_unit(beta, -1)
+            f.mul(g)
+            f + g
+            f.equals(g)
+        built_by_depth.append(len(built))
+    assert built_by_depth[0] == built_by_depth[1] <= 5
 
 
 def test_divide_rejects_nonpositive_direction():
@@ -215,6 +301,19 @@ def test_character_shift_equalities_and_converse():
             # mismatched shift has a different top term
             shifted = char_verma(borels[0], lam + basis_weight(p, 1) - rho_b(borels[0]), 6)
             assert not shifted.equals(charts[borels[0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([P(2, 2), P(3, 1), P(1, 3)]), st.data())
+def test_borel_independence_property(p, data):
+    """ch M^b(lam - rho^b) is one series, top and window included, for
+    every Borel b."""
+    lam = Weight(p, tuple(data.draw(st.lists(st.integers(-4, 4), min_size=p.dim, max_size=p.dim))))
+    depth = data.draw(st.integers(0, 5))
+    first, *rest = (char_verma(b, lam - rho_b(b), depth) for b in enumerate_borels(p))
+    for chart in rest:
+        assert (chart.top, chart.depth) == (first.top, first.depth)
+        assert chart.equals(first)
 
 
 # -- even simple and Kac characters ------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from superchar import charring
+from superchar import charring, vermacalc
 from superchar.cli import main
 
 
@@ -174,12 +174,22 @@ def test_enumeration_bound_exit_three(capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_max_cells_env_validated(capsys, monkeypatch, value):
+    """A bad SUPERCHAR_MAX_CELLS exits 2 before the command does any work,
+    including commands that build no PBW window."""
     monkeypatch.setenv("SUPERCHAR_MAX_CELLS", value)
-    code, out, err = run(
-        capsys, ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "2"]
-    )
-    assert (code, out) == (2, "")
-    assert err == f"error: SUPERCHAR_MAX_CELLS must be a positive integer, got {value!r}\n"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before SUPERCHAR_MAX_CELLS was checked")
+
+    monkeypatch.setattr(vermacalc, "narrow_image_dims", no_work)
+    monkeypatch.setattr(charring, "char_narrow", no_work)
+    for argv in (
+        ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "2"],
+        ["char", "--type", "narrow", "--m", "2", "--n", "1", "--coords", "3,0/3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: SUPERCHAR_MAX_CELLS must be a positive integer, got {value!r}\n"
 
 
 def test_consistency_error_exit_four(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from superchar.diagrams import (
+    FAST_VALIDATED,
     diagram_json,
     diagram_weight,
     is_g1_generic,
@@ -117,10 +118,13 @@ def test_generic_examples():
 
 
 def test_fast_equals_brute_exhaustive():
-    for m, n in [(2, 1), (1, 2), (2, 2)]:
+    """Every profile the auto mode trusts to the gap criterion."""
+    # radius 3 still holds gaps 2, 3 and 4 within each block, on both
+    # sides of the thresholds n and m of gl(3|2) and gl(2|3)
+    radius_by_dim = {2: 6, 3: 6, 4: 4, 5: 3}
+    for m, n in sorted(FAST_VALIDATED):
         p = P(m, n)
-        radius = 6 if p.dim <= 3 else 4
-        for lam in coords_box(p, radius):
+        for lam in coords_box(p, radius_by_dim[p.dim]):
             assert is_g1_generic(lam, "fast") == is_g1_generic(lam, "brute")
 
 
