@@ -187,7 +187,8 @@ def character_shift_sweep(
     passed = True
     lams = [random_weight() for _ in range(trials)]
     for lam in lams:
-        charts = {b: char_verma(b, lam - rho_b(b), depth) for b in borels}
+        shifted = {b: lam - rho_b(b) for b in borels}
+        charts = {b: char_verma(b, shifted[b], depth) for b in borels}
         for b in borels:
             for b2 in borels:
                 pairs += 1
@@ -196,10 +197,9 @@ def character_shift_sweep(
                 else:
                     passed = False
                 # the one-dimensional slot at lam - rho^b, when in window
-                target = lam - rho_b(b)
-                if target.xi >= charts[b2].floor:
+                if shifted[b].xi >= charts[b2].floor:
                     coeff_ok += 1
-                    if charts[b2].coeff(target) != 1:
+                    if charts[b2].coeff(shifted[b]) != 1:
                         passed = False
     detected = 0
     tried = 0

@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("generic", help="g_-1-genericity test")
     _add_common(sub)
-    sub.add_argument("--mode", choices=["auto", "fast", "brute"], default="auto")
+    sub.add_argument("--mode", choices=["fast", "brute"], default="fast",
+                     help="fast: the gap criterion; brute: the 2^{mn}-subset walk")
     sub.set_defaults(func=cmd_generic)
 
     sub = subs.add_parser("char", help="truncated formal characters")

@@ -11,12 +11,17 @@ distinguished odd positive roots never changes the strict within-block
 ordering of the coordinates and never creates a tie (open chambers,
 the strictest reading).  The brute test walks all 2^{mn} subsets; the
 fast test checks that within-block coordinate gaps exceed n on the eps
-block and m on the delta block.  The fast route is trusted by default
-only on the profiles the equivalence suite exercises: gl(m|n) with m
-and n at most 3, except gl(3|3), each over a coordinate box wide enough
-to hold gaps on both sides of both thresholds.  Every other profile
-stays on the brute walk; at gl(3|3) each weight already has 2^9 subsets
-and a box of that width holds 7^6 weights, too many for the suite.
+block and m on the delta block.  The two agree on every gl(m|n):
+(1) a subset of the odd roots eps_i - delta_j is a 0/1 m x n matrix,
+and the shift subtracts its row sums r from the eps block and its
+column sums c from the delta block; (2) the rows are chosen
+independently, so r ranges over all of [0, n]^m, and c over all of
+[0, m]^n; (3) the eps pattern depends only on r and the delta pattern
+only on c, so "for all subsets" splits into one "for all" per block;
+(4) a pattern is the tuple of pairwise signs and each (r_a, r_b) ranges
+over [0, n]^2, so it is kept iff no eps_a - eps_b reaches zero or
+changes sign when any d in [-n, n] is subtracted, that is iff
+|eps_a - eps_b| > n; likewise |delta_a - delta_b| > m.
 """
 
 from __future__ import annotations
@@ -37,9 +42,6 @@ from .rootdata import (
 CROSS, CIRCLE, VEE, WEDGE = "cross", "circle", "vee", "wedge"
 
 DEFAULT_SUBSET_BOUND = 1 << 16
-
-# Profiles whose fast gap criterion has a brute-force equivalence suite.
-FAST_VALIDATED = frozenset({(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3)})
 
 
 @dataclass(frozen=True)
@@ -153,21 +155,16 @@ def _generic_fast(lam: Weight) -> bool:
 
 
 def is_g1_generic(
-    lam: Weight, mode: str = "auto", bound: int = DEFAULT_SUBSET_BOUND
+    lam: Weight, mode: str = "fast", bound: int = DEFAULT_SUBSET_BOUND
 ) -> bool:
     """Whether all odd-subset shifts of lam stay in one open Weyl chamber.
 
-    mode "brute" enumerates the subsets, "fast" uses the gap criterion,
-    "auto" uses fast only on profiles covered by the equivalence suite.
+    mode "fast" uses the gap criterion; "brute" enumerates the subsets,
+    up to `bound` of them, as the oracle the gap criterion is tested by.
     """
-    if mode == "brute":
-        return _generic_brute(lam, bound)
     if mode == "fast":
         return _generic_fast(lam)
-    if mode == "auto":
-        p = lam.profile
-        if (p.m, p.n) in FAST_VALIDATED:
-            return _generic_fast(lam)
+    if mode == "brute":
         return _generic_brute(lam, bound)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -68,6 +68,8 @@ def test_criterion_02_euler_identity():
         (P(2, 1), ([3, 0], [3]), 8),
         (P(2, 2), ([7, 2], [2, 7]), 6),  # atypicality 2, generic
         (P(2, 2), ([9, 1], [2, 8]), 6),  # typical
+        (P(4, 5), ([40, 30, 20, 10], [0, 10, 20, 30, 40]), 4),  # 2^20 odd subsets
+        (P(5, 5), ([40, 30, 20, 10, 0], [0, 10, 20, 30, 40]), 4),  # 2^25 odd subsets
     ]
     for p, (eps, delta), depth in cases:
         start = time.perf_counter()

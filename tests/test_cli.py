@@ -172,6 +172,24 @@ def test_enumeration_bound_exit_three(capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+GL45 = ["--m", "4", "--n", "5", "--coords", "40,30,20,10/0,10,20,30,40"]
+
+
+def test_gl45_genericity_uses_the_gap_criterion(capsys):
+    """2^20 odd subsets: only the explicit brute mode hits the bound."""
+    code, out, err = run(capsys, ["char", "--type", "narrow", *GL45, "--depth", "2"])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, ["generic", *GL45])
+    assert (code, err) == (0, "") and "True" in out
+    code, out, err = run(capsys, ["generic", *GL45, "--mode", "brute"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["generic", *GL45, "--mode", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_max_cells_env_validated(capsys, monkeypatch, value):
     """A bad SUPERCHAR_MAX_CELLS exits 2 before the command does any work,

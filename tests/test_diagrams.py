@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.diagrams import (
-    FAST_VALIDATED,
     diagram_json,
     diagram_weight,
     is_g1_generic,
@@ -118,14 +119,36 @@ def test_generic_examples():
 
 
 def test_fast_equals_brute_exhaustive():
-    """Every profile the auto mode trusts to the gap criterion."""
+    """Gap criterion against the subset walk on every weight of a box."""
     # radius 3 still holds gaps 2, 3 and 4 within each block, on both
     # sides of the thresholds n and m of gl(3|2) and gl(2|3)
     radius_by_dim = {2: 6, 3: 6, 4: 4, 5: 3}
-    for m, n in sorted(FAST_VALIDATED):
+    for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         p = P(m, n)
         for lam in coords_box(p, radius_by_dim[p.dim]):
             assert is_g1_generic(lam, "fast") == is_g1_generic(lam, "brute")
+
+
+# every gl(m|n) whose subset walk has at most 2^12 subsets
+WALKABLE = [P(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+
+
+def block_near_walls(draw, size, cap):
+    """A coordinate block whose consecutive gaps sit around the threshold
+    cap, in random order and at a random offset."""
+    values = [draw(st.integers(-20, 20))]
+    for _ in range(size - 1):
+        values.append(values[-1] + draw(st.integers(cap - 1, cap + 2)))
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(WALKABLE), st.data())
+def test_fast_equals_brute_near_walls(p, data):
+    eps = block_near_walls(data.draw, p.m, p.n)
+    delta = block_near_walls(data.draw, p.n, p.m)
+    lam = weight_from_coords(p, eps, delta)
+    assert is_g1_generic(lam, "fast") == is_g1_generic(lam, "brute")
 
 
 def test_generic_implies_regular():
@@ -171,7 +194,7 @@ def test_generic_auto_mode_and_bound():
 
     p = P(2, 2)
     lam = weight_from_coords(p, [9, 1], [2, 8])
-    assert is_g1_generic(lam)  # auto uses the validated fast path
+    assert is_g1_generic(lam)  # the default mode is the gap criterion
     with pytest.raises(EnumerationBound):
         is_g1_generic(lam, "brute", bound=8)
     with pytest.raises(ValueError):
