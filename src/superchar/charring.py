@@ -23,7 +23,6 @@ so Vermas for all Borels become directly comparable series.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import Counter
 from collections.abc import Mapping, ValuesView
@@ -445,6 +444,27 @@ def char_even_verma(mu: Weight, depth: int) -> FormalChar:
     return _units(monomial(mu, depth), even=even_positive_roots(mu.profile))
 
 
+def _subset_shifts(lam: Weight, roots) -> Counter:
+    """The multiset of weights lam - sum(S) over the subsets S of `roots`."""
+    tally = Counter({lam: 1})
+    for beta in roots:
+        step = beta.as_weight()
+        for nu, count in list(tally.items()):
+            tally[nu - step] += count
+    return tally
+
+
+def even_verma_sum(lam: Weight, roots, depth: int) -> FormalChar:
+    """Sum over the subsets S of `roots` of the even Verma characters at
+    lam - sum(S), on the window below lam."""
+    floor = lam.xi - depth
+    total = zero_char(lam.profile, lam, depth)
+    for nu, count in _subset_shifts(lam, roots).items():
+        if nu.xi >= floor:
+            total = total + char_even_verma(nu, nu.xi - floor).scale(count)
+    return total
+
+
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """Alternating Verma sum over the Weyl group with the usual dot action."""
     if not is_even_dominant(mu):
@@ -563,19 +583,7 @@ def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):
     """
     p = lam.profile
     odd = odd_positive_roots(p)
-    floor = lam.xi - depth
-    tally: Counter = Counter()
-    total = zero_char(p, lam, depth)
-    for size in range(len(odd) + 1):
-        for subset in itertools.combinations(odd, size):
-            nu = lam
-            for beta in subset:
-                nu = nu - beta.as_weight()
-            tally[nu] += 1
-            if nu.xi >= floor:
-                total = total + char_even_verma(nu, nu.xi - floor)
-    shifted = lam + rho(p) - rho_b(b)
-    lhs = char_verma(b, shifted, depth)
-    if not lhs.equals(total):
+    lhs = char_verma(b, lam + rho(p) - rho_b(b), depth)
+    if not lhs.equals(even_verma_sum(lam, odd, depth)):
         raise ConsistencyError("restriction decomposition identity failed")
-    return sorted(tally.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
+    return sorted(_subset_shifts(lam, odd).items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))

@@ -223,128 +223,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_image(args) -> int:
     p = _profile(args)
-    lam = _weight_from_args(args, p)
-    ranks = vermacalc.narrow_image_dims(lam, args.depth)
-    chart = charring.char_narrow(lam, args.depth, warn=False)
-    ok = all(chart.coeff(nu) == rank for nu, rank in ranks.items())
-    ordered = sorted(ranks.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
-    lines = [f"narrow image ranks vs character at depth {args.depth}: {'pass' if ok else 'FAIL'}"]
-    for nu, rank in ordered:
-        lines.append(f"  {nu}: rank {rank} coeff {chart.coeff(nu)}")
-    obj = {
-        "check": "image",
-        "profile": [p.m, p.n],
-        "lambda_coords": list(rootdata.encode(lam).values),
-        "depth": args.depth,
-        "pass": ok,
-        "details": {
-            "ranks": [
-                {"weight": list(nu.coeffs), "rank": rank, "coeff": chart.coeff(nu)}
-                for nu, rank in ordered
-            ]
-        },
-    }
-    _emit(args, lines, obj)
-    return 0 if ok else FAIL_EXIT
-
-
-def _suite_checks(args):
-    """Name -> callable returning (passed, detail). Ordered by name."""
-    seed = args.seed
-    depth = args.depth
-
-    def check_borel_lattice():
-        import math
-
-        for m in range(1, 5):
-            for n in range(1, 5):
-                p = rootdata.RankProfile(m, n)
-                items = borels.enumerate_borels(p)
-                if len(items) != math.comb(m + n, m):
-                    return False, f"count failed for gl({m}|{n})"
-                for edge in borels.borel_graph(p):
-                    lhs = rootdata.rho_b(edge.target)
-                    rhs = rootdata.rho_b(edge.source) + edge.alpha.as_weight()
-                    if lhs != rhs:
-                        return False, f"rho update failed on {edge}"
-        return True, "profiles up to (4,4)"
-
-    def check_character_sweep():
-        rep = bggcheck.character_shift_sweep(
-            rootdata.RankProfile(2, 2), trials=3, depth=min(depth, 5), seed=seed
-        )
-        return rep.passed, f"{rep.pairs_checked} pairs"
-
-    def check_euler():
-        cases = [
-            (rootdata.RankProfile(1, 1), ([0], [0]), min(depth, 4)),
-            (rootdata.RankProfile(2, 1), ([3, 0], [3]), depth),
-            (rootdata.RankProfile(2, 2), ([7, 2], [2, 7]), min(depth, 6)),
-        ]
-        for p, (e, d), dd in cases:
-            lam = rootdata.weight_from_coords(p, e, d)
-            if not bggcheck.euler_check(lam, dd).equal:
-                return False, f"failed at {p} coords ({e}|{d})"
-        return True, f"{len(cases)} weights"
-
-    def check_narrow_image():
-        p = rootdata.RankProfile(2, 1)
-        lam = rootdata.weight_from_coords(p, [3, 0], [3])
-        ranks = vermacalc.narrow_image_dims(lam, 3)
-        chart = charring.char_narrow(lam, 3, warn=False)
-        ok = all(chart.coeff(nu) == r for nu, r in ranks.items())
-        return ok, f"{len(ranks)} weights"
-
-    def check_pbw_oracle():
-        p = rootdata.RankProfile(2, 2)
-        lam = rootdata.weight_from_blocks(p, [1, 0], [0, -1])
-        ok = True
-        for b in borels.enumerate_borels(p):
-            chart = charring.char_verma(b, lam, 4)
-            module = vermacalc.VermaModule(b, lam)
-            for nu in vermacalc.cone_weights_below(chart.top, 4):
-                if chart.coeff(nu) != len(module.weight_space_monomials(nu)):
-                    ok = False
-        return ok, "all Borels of gl(2|2), depth 4"
-
-    def check_genericity():
-        for m, n in ((2, 1), (1, 2)):
-            p = rootdata.RankProfile(m, n)
-            import itertools as it
-
-            for values in it.product(range(-3, 4), repeat=p.dim):
-                lam = rootdata.weight_from_coords(p, values[: p.m], values[p.m:])
-                if diagrams.is_g1_generic(lam, "fast") != diagrams.is_g1_generic(
-                    lam, "brute"
-                ):
-                    return False, f"fast/brute split at coords {values}"
-        return True, "boxes |coord| <= 3"
-
-    def check_small_rank():
-        p = rootdata.RankProfile(2, 1)
-        lam = rootdata.weight_from_coords(p, [3, 0], [3])
-        rep = bggcheck.small_rank_exactness(lam, 3)
-        return rep.passed, "gl(2|1) coords (3,0|3)"
-
-    return {
-        "borel_lattice": check_borel_lattice,
-        "euler_identity": check_euler,
-        "genericity_equivalence": check_genericity,
-        "character_shift_sweep": check_character_sweep,
-        "narrow_image": check_narrow_image,
-        "pbw_oracle": check_pbw_oracle,
-        "small_rank_exactness": check_small_rank,
-    }
+    report = bggcheck.image_check(_weight_from_args(args, p), args.depth)
+    verdict = "pass" if report.passed else "FAIL"
+    lines = [f"narrow image ranks vs character at depth {args.depth}: {verdict}"]
+    lines += [f"  {nu}: rank {rank} coeff {coeff}" for nu, rank, coeff in report.rows]
+    _emit(args, lines, report.to_json_obj())
+    return 0 if report.passed else FAIL_EXIT
 
 
 def cmd_suite(args) -> int:
-    checks = _suite_checks(args)
-    results = []
-    all_ok = True
-    for name in sorted(checks):
-        ok, detail = checks[name]()
-        all_ok &= ok
-        results.append((name, ok, detail))
+    results = bggcheck.run_suite(args.depth, args.seed)
+    all_ok = all(ok for _, ok, _ in results)
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     lines.append(f"suite: {'PASS' if all_ok else 'FAIL'}")
     obj = {

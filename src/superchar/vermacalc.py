@@ -170,6 +170,13 @@ class VermaModule:
     def zero(self) -> "VermaElement":
         return VermaElement(self, {})
 
+    def lowered(self, alpha: Root, k: int) -> "VermaElement":
+        """E_{-alpha}^k v: the lowering vector of the even positive root
+        alpha, to the k-th power, applied to the highest vector."""
+        mono = list(self.zero_mono)
+        mono[self.neg_index[(alpha.j, alpha.i)]] = k
+        return self.element({tuple(mono): 1})
+
     # -- straightening -------------------------------------------------------
 
     def act_basis(self, x: tuple[int, int], mono) -> dict:
@@ -388,10 +395,7 @@ def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root, module: Verm
         raise ValueError(f"coroot pairing is {k}, not a positive integer")
     if module is None:
         module = VermaModule(borel, lam)
-    slot = module.neg_index[(alpha.j, alpha.i)]
-    mono = list(module.zero_mono)
-    mono[slot] = k
-    vec = module.element({tuple(mono): 1})
+    vec = module.lowered(alpha, k)
     for simple in borel.simple_roots():
         image = module.apply((simple.i, simple.j), vec)
         if not image.is_zero():
@@ -650,13 +654,9 @@ def bgg_square_check(lam: Weight, w: WeylElt, depth: int = 3) -> bool:
     if k <= 0:
         raise ValueError(f"no even embedding: coroot pairing is {k}")
     module = antidistinguished_module(lam)
-    slot = module.neg_index[(alpha.j, alpha.i)]
-    mono = list(module.zero_mono)
-    mono[slot] = k
-    embedded_highest = module.element({tuple(mono): 1})
     odd_pairs = _odd_product_pairs(p)
     # odd product after the even embedding, and the reverse order
-    route_a = module.apply_word(odd_pairs, embedded_highest)
+    route_a = module.apply_word(odd_pairs, module.lowered(alpha, k))
     route_b = module.apply_word(
         [(alpha.j, alpha.i)] * k, module.apply_word(odd_pairs, module.highest_vector())
     )

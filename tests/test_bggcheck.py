@@ -4,17 +4,16 @@ from superchar.bggcheck import (
     complex_shape,
     euler_check,
     character_shift_sweep,
+    image_check,
     length_generating_polynomial,
     restriction_check,
     small_rank_exactness,
 )
-from superchar.charring import char_narrow
 from superchar.rootdata import (
     RankProfile,
     atypicality,
     weight_from_coords,
 )
-from superchar.vermacalc import narrow_image_dims
 
 
 def P(m, n):
@@ -127,8 +126,6 @@ def test_antidominant_generic_narrow_is_simple_gl11():
     # and its ranks match the closed character
     p = P(1, 1)
     for t in (-2, 0, 5):
-        lam = weight_from_coords(p, [t], [t])  # atypical, antidominant
-        ranks = narrow_image_dims(lam, 2)
-        chart = char_narrow(lam, 2, warn=False)
-        assert ranks == {nu: chart.coeff(nu) for nu in ranks}
-        assert sum(ranks.values()) == 1  # one-dimensional simple module
+        result = image_check(weight_from_coords(p, [t], [t]), 2)  # atypical, antidominant
+        assert result.passed
+        assert sum(rank for _, rank, _ in result.rows) == 1  # one-dimensional simple module

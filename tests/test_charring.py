@@ -480,6 +480,8 @@ def test_restriction_decomposition_counts():
     lam = weight_from_blocks(p22, [1, 0], [0, -1])
     summands = char_restriction_decomposition(distinguished(p22), lam, 3)
     assert sum(mult for _, mult in summands) == 16
+    # two subsets share their sum at xi-drop 4, inside this window
+    assert [mult for _, mult in char_restriction_decomposition(distinguished(p22), lam, 4)].count(2) == 1
 
 
 def test_restriction_decomposition_other_borel():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from superchar import charring, vermacalc
+from superchar import bggcheck, charring
 from superchar.cli import main
 
 
@@ -199,7 +199,8 @@ def test_max_cells_env_validated(capsys, monkeypatch, value):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before SUPERCHAR_MAX_CELLS was checked")
 
-    monkeypatch.setattr(vermacalc, "narrow_image_dims", no_work)
+    # the names the image and char commands reach first
+    monkeypatch.setattr(bggcheck, "narrow_image_dims", no_work)
     monkeypatch.setattr(charring, "char_narrow", no_work)
     for argv in (
         ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "2"],
@@ -208,6 +209,22 @@ def test_max_cells_env_validated(capsys, monkeypatch, value):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == f"error: SUPERCHAR_MAX_CELLS must be a positive integer, got {value!r}\n"
+
+
+def test_image_verification_failure_exits_one(capsys, monkeypatch):
+    real = bggcheck.narrow_image_dims
+    monkeypatch.setattr(bggcheck, "narrow_image_dims", lambda lam, depth: {**real(lam, depth), lam: 2})
+    argv = ["image", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out.startswith("narrow image ranks vs character at depth 2: FAIL\n")
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_suite_verification_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setitem(bggcheck.SUITE, "pbw_oracle", lambda depth, seed: (False, "forced"))
+    code, out, _ = run(capsys, ["suite", "--depth", "4"])
+    assert code == 1 and "\nFAIL pbw_oracle: forced\n" in out and out.endswith("\nsuite: FAIL\n")
 
 
 def test_consistency_error_exit_four(capsys, monkeypatch):
