@@ -1,42 +1,49 @@
-"""Exact rational row reduction, small and incremental.
+"""Exact integer row reduction, small and incremental.
 
-Rows are lists of Fractions.  The basis keeps itself fully reduced
-(each row scaled to a unit pivot, pivot columns eliminated everywhere
-else), so ranks are read off directly and insertion order cannot
-change the final span bookkeeping.  Pivot choice prefers entries with
-small numerator and denominator bit length to limit coefficient
-growth.
+Rows are lists of ints.  The basis keeps itself in reduced integer
+echelon form: every stored row is primitive (the gcd of its entries is
+1) with a positive pivot, and every other row is 0 in each pivot
+column.  A row is reduced by cross-multiplication, a*v - b*row with
+a/b the pivot ratio in lowest terms, and the gcd of the result is
+divided out, so no rational arithmetic is needed.  A row with rational
+entries has its denominators cleared once, when it comes in.  Ranks
+are read off directly, and the rank of a matrix is the rank of the
+basis its rows span.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 class RowBasis:
-    """Incrementally built reduced row-echelon basis of a Q^width subspace."""
+    """Incrementally built integer echelon basis of a Q^width subspace."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Fraction]:
-        """Residual of vec modulo the current span."""
-        v = [Fraction(x) for x in vec]
+    def reduce(self, vec) -> list[int]:
+        """A primitive integer multiple of the residual of vec modulo the
+        current span; 0 in every pivot column."""
+        den = lcm(*(x.denominator for x in vec))
+        v = [int(x * den) for x in vec]
         if len(v) != self.width:
             raise ValueError("vector width mismatch")
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                for k in range(self.width):
-                    if row[k]:
-                        v[k] -= c * row[k]
-        return v
+            b = v[p]
+            if b:
+                a = row[p]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+        g = gcd(*v)
+        return [x // g for x in v] if g > 1 else v
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -44,53 +51,29 @@ class RowBasis:
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew."""
         v = self.reduce(vec)
-        pivot = next((k for k in range(self.width) if v[k]), None)
+        pivot = next((k for k, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        c = v[pivot]
-        v = [x / c for x in v]
-        for row in self.rows:
-            if row[pivot]:
-                d = row[pivot]
-                for k in range(self.width):
-                    if v[k]:
-                        row[k] -= d * v[k]
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        a = v[pivot]
+        for idx, row in enumerate(self.rows):
+            b = row[pivot]
+            if b:
+                g = gcd(a, b)
+                new = [(a // g) * x - (b // g) * y for x, y in zip(row, v)]
+                g = gcd(*new)
+                self.rows[idx] = [x // g for x in new] if g > 1 else new
         at = next((idx for idx, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
 
 
-def _bitsize(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def matrix_rank(rows) -> int:
-    """Rank over Q by elimination with small-entry pivoting."""
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not work:
-        return 0
-    width = len(work[0])
-    rank = 0
-    col = 0
-    while col < width and rank < len(work):
-        best = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                if best is None or _bitsize(work[r][col]) < _bitsize(work[best][col]):
-                    best = r
-        if best is None:
-            col += 1
-            continue
-        work[rank], work[best] = work[best], work[rank]
-        pivot_row = work[rank]
-        c = pivot_row[col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                f = work[r][col] / c
-                for k in range(col, width):
-                    if pivot_row[k]:
-                        work[r][k] -= f * pivot_row[k]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q: the rank of the basis the rows span."""
+    rows = list(rows)
+    basis = RowBasis(len(rows[0]) if rows else 0)
+    for row in rows:
+        basis.insert(row)
+    return basis.rank

@@ -11,8 +11,10 @@ rank- or proportionality-based, never coefficient-literal.
 Generator action straightens words against the highest-weight
 relations: raising vectors die on the highest vector, Cartan elements
 act by the weight, and out-of-order products are rewritten with the
-supercommutator.  All arithmetic is exact (integers inside the
-straightening, rationals in the linear algebra).
+supercommutator.  Every coefficient is an integer: the straightening,
+the elements it produces and the row reduction of their coordinates
+use no rationals.  Only `VermaElement.proportionality` returns one, the
+ratio of two elements.
 """
 
 from __future__ import annotations
@@ -162,10 +164,14 @@ class VermaModule:
         return PBWMonomial(self.borel, self.pbw_roots, tuple(mono), self.mono_weight(mono))
 
     def highest_vector(self) -> "VermaElement":
-        return VermaElement(self, {self.zero_mono: Fraction(1)})
+        return VermaElement(self, {self.zero_mono: 1})
 
     def element(self, terms: dict) -> "VermaElement":
-        return VermaElement(self, {m: Fraction(c) for m, c in terms.items()})
+        """The combination of monomials with the given integer coefficients."""
+        for c in terms.values():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an integer")
+        return VermaElement(self, terms)
 
     def zero(self) -> "VermaElement":
         return VermaElement(self, {})
@@ -230,7 +236,7 @@ class VermaModule:
         out: dict = {}
         for mono, coeff in elem.terms.items():
             for m2, c2 in self.act_basis(x, mono).items():
-                val = out.get(m2, Fraction(0)) + coeff * c2
+                val = out.get(m2, 0) + coeff * c2
                 if val:
                     out[m2] = val
                 elif m2 in out:
@@ -294,7 +300,7 @@ class VermaModule:
     def coordinates(self, elem: "VermaElement", nu: Weight):
         monos = self.weight_space_monomials(nu)
         index = {m: k for k, m in enumerate(monos)}
-        vec = [Fraction(0)] * len(monos)
+        vec = [0] * len(monos)
         for mono, coeff in elem.terms.items():
             vec[index[mono]] = coeff
         return vec
@@ -304,13 +310,13 @@ class VermaModule:
 
 
 class VermaElement:
-    """Homogeneous element: sparse rational combination of one weight's monomials."""
+    """Homogeneous element: sparse integer combination of one weight's monomials."""
 
     __slots__ = ("module", "terms", "weight")
 
     def __init__(self, module: VermaModule, terms: dict):
         self.module = module
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+        self.terms = {m: c for m, c in terms.items() if c}
         coeffs = {module._mono_coeffs(m) for m in self.terms}
         if len(coeffs) > 1:
             raise ValueError("inhomogeneous combination of monomials")
@@ -324,7 +330,7 @@ class VermaElement:
             raise ValueError("elements of different modules")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            val = out.get(m, Fraction(0)) + c
+            val = out.get(m, 0) + c
             if val:
                 out[m] = val
             elif m in out:
@@ -334,12 +340,11 @@ class VermaElement:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "VermaElement":
-        c = Fraction(c)
+    def scale(self, c: int) -> "VermaElement":
         return VermaElement(self.module, {m: c * v for m, v in self.terms.items()})
 
     def proportionality(self, other: "VermaElement"):
-        """The scalar c with self = c * other, or None if not proportional.
+        """The rational c with self = c * other, or None if not proportional.
 
         Two zero elements are proportional with scalar 1.
         """
@@ -351,7 +356,7 @@ class VermaElement:
             return Fraction(0)
         if set(self.terms) != set(other.terms):
             return None
-        ratios = {self.terms[m] / other.terms[m] for m in self.terms}
+        ratios = {Fraction(c, other.terms[m]) for m, c in self.terms.items()}
         return ratios.pop() if len(ratios) == 1 else None
 
     def __repr__(self):
@@ -433,7 +438,7 @@ def primitive_space_dim(
         # one constraint row per up-monomial: entries over the target basis
         cols = [module.act_basis(x, m) for m in monos]
         for um in up_monos:
-            rows.append([Fraction(c.get(um, 0)) for c in cols])
+            rows.append([c.get(um, 0) for c in cols])
     if not rows:
         return len(monos)
     return len(monos) - matrix_rank(rows)
@@ -637,7 +642,7 @@ def _simple_reflection_root(w: WeylElt, profile: RankProfile) -> Root:
     raise ValueError("the Weyl element is not a single reflection")
 
 
-def bgg_square_check(lam: Weight, w: WeylElt, depth: int = 3) -> bool:
+def bgg_square_check(lam: Weight, w: WeylElt) -> bool:
     """The two routes from the Verma at w.lam into the anti-distinguished
     ambient (odd product then even embedding, or the reverse) agree up to
     one nonzero scalar.
@@ -667,6 +672,6 @@ def bgg_square_check(lam: Weight, w: WeylElt, depth: int = 3) -> bool:
     for x in _generator_pairs(p):
         im_a = module.apply(x, route_a)
         im_b = module.apply(x, route_b)
-        if not (im_a - im_b.scale(ratio)).is_zero():
+        if not (im_a.scale(ratio.denominator) - im_b.scale(ratio.numerator)).is_zero():
             return False
     return True

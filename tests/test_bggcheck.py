@@ -101,19 +101,6 @@ def test_restriction_subset_counts():
     assert len(atypicality(lam).gamma) == 1  # so 2 of the 4 subsets survive
 
 
-def test_small_rank_exactness():
-    p21 = P(2, 1)
-    report = small_rank_exactness(weight_from_coords(p21, [3, 0], [3]), 3)
-    assert report.passed and report.injective and report.cokernel_matches
-    report = small_rank_exactness(weight_from_coords(p21, [3, 0], [7]), 3)
-    assert report.passed
-    p12 = P(1, 2)
-    report = small_rank_exactness(weight_from_coords(p12, [3], [0, 3]), 3)
-    assert report.passed
-    report = small_rank_exactness(weight_from_coords(p12, [9], [0, 4]), 3)
-    assert report.passed
-
-
 def test_small_rank_exactness_rejects():
     with pytest.raises(ValueError):
         small_rank_exactness(weight_from_coords(P(2, 2), [7, 2], [2, 7]), 2)

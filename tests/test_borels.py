@@ -234,12 +234,6 @@ def test_graph_connected_graded_chains():
         assert lengths == {m * n}
 
 
-def test_graph_rho_update_identity():
-    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        for e in borel_graph(P(m, n)):
-            assert rho_b(e.target) == rho_b(e.source) + e.alpha.as_weight()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_odd_reflection_rho_update_property(m, n, data):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -206,6 +207,24 @@ def test_element_rejects_mixed_weights():
     assert elem.weight == module.mono_weight((0, 1, 0))
     with pytest.raises(ValueError, match="inhomogeneous"):
         module.element({(0, 0, 0): 1, (0, 1, 0): 1})
+    with pytest.raises(TypeError, match="not an integer"):
+        module.element({(0, 1, 0): Fraction(1, 2)})
+
+
+def test_pbw_coefficients_are_integers():
+    p = P(2, 1)
+    module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [-2]))
+    coeffs = set()
+    for word in itertools.product(all_pairs(p), repeat=3):
+        for c in module.apply_word(word, module.highest_vector()).terms.values():
+            assert type(c) is int
+            coeffs.add(c)
+    assert max(map(abs, coeffs)) > 1
+    a = module.element({(1, 0, 1): 2, (0, 1, 0): 4})
+    b = module.element({(1, 0, 1): 3, (0, 1, 0): 6})
+    ratio = a.proportionality(b)
+    assert type(ratio) is Fraction and ratio == Fraction(2, 3)
+    assert module.element({(1, 0, 1): 2, (0, 1, 0): 3}).proportionality(b) is None
 
 
 def test_raising_annihilates_highest_vector():
@@ -432,11 +451,11 @@ def test_bgg_square_check():
     p21 = P(2, 1)
     lam = weight_from_coords(p21, [3, 0], [3])
     s = reflection(Root(p21, 1, 2))
-    assert bgg_square_check(lam, s, 3)
+    assert bgg_square_check(lam, s)
     p12 = P(1, 2)
     lam12 = weight_from_coords(p12, [3], [0, 3])
     s12 = reflection(Root(p12, 2, 3))
-    assert bgg_square_check(lam12, s12, 3)
+    assert bgg_square_check(lam12, s12)
 
 
 def test_bgg_square_check_identity_and_errors():
@@ -444,12 +463,10 @@ def test_bgg_square_check_identity_and_errors():
     lam = weight_from_coords(p, [3, 0], [3])
     from superchar.rootdata import identity_weyl, longest_element
 
-    assert bgg_square_check(lam, identity_weyl(p), 3)
+    assert bgg_square_check(lam, identity_weyl(p))
     p22 = P(2, 2)
     with pytest.raises(ValueError):
-        bgg_square_check(
-            weight_from_coords(p22, [9, 1], [2, 8]), longest_element(p22), 2
-        )
+        bgg_square_check(weight_from_coords(p22, [9, 1], [2, 8]), longest_element(p22))
 
 
 # -- linear algebra helper ----------------------------------------------------------
@@ -469,9 +486,9 @@ def test_row_basis_incremental():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 5).flatmap(
+    st.integers(1, 6).flatmap(
         lambda width: st.lists(
-            st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=5
+            st.lists(st.integers(-50, 50), min_size=width, max_size=width), min_size=1, max_size=6
         )
     )
 )
@@ -480,6 +497,14 @@ def test_rank_matches_sympy(rows):
     basis = RowBasis(len(rows[0]))
     for row in rows:
         basis.insert(row)
+        # integer echelon form: primitive rows with positive pivots, and
+        # every other row 0 in each pivot column
+        for row_k, p in zip(basis.rows, basis.pivots):
+            assert all(type(x) is int for x in row_k)
+            assert math.gcd(*row_k) == 1 and row_k[p] > 0
+            assert not any(row_k[:p])
+            assert all(other[p] == 0 for other in basis.rows if other is not row_k)
+        assert basis.pivots == sorted(basis.pivots)
     assert matrix_rank(rows) == basis.rank == expected
 
 
