@@ -45,9 +45,6 @@ class RowBasis:
         g = gcd(*v)
         return [x // g for x in v] if g > 1 else v
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew."""
         v = self.reduce(vec)

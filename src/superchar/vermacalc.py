@@ -145,7 +145,7 @@ class VermaModule:
             refund.append(refund[-1] + max(0, -step))
         self._refund = tuple(reversed(refund))
         self._act_cache: dict = {}
-        self._space_cache: dict = {}
+        self._levels: dict = {}
 
     # -- monomials ---------------------------------------------------------
 
@@ -254,33 +254,49 @@ class VermaModule:
     def weight_space_monomials(self, nu: Weight) -> tuple:
         """All monomials of weight nu, in lexicographic exponent order.
 
-        Found by a depth-first walk over the slots, pruned by the xi budget."""
-        if nu in self._space_cache:
-            return self._space_cache[nu]
-        target = self.lam - nu
-        result = tuple(sorted(self._monomials(target.xi, target.coeffs)))
-        self._space_cache[nu] = result
-        return result
+        Read from nu's bucket at its xi level: the first request at a level
+        walks the whole level once and buckets it by weight, and every later
+        request there, at any weight, is a lookup."""
+        if nu.profile != self.profile:
+            raise ProfileMismatch(f"profile mismatch: {self.profile} vs {nu.profile}")
+        return self._level(self.lam.xi - nu.xi).get(nu.coeffs, ())
 
-    def _monomials(self, drop: int, target=None) -> list:
-        """Exponent tuples whose xi-drop below lam is at most `drop`; with
-        `target` (the coefficients of lam - nu), exactly those of weight nu.
+    def _monomials(self, drop: int) -> list:
+        """Exponent tuples whose xi-drop below lam is at most `drop`: the
+        level buckets from the lowest reachable level, -refund[0], up to
+        drop, from one walk over the whole range rather than one per level."""
+        levels = self._walk_levels(-self._refund[0], drop)
+        return [mono for buckets in levels.values() for monos in buckets.values() for mono in monos]
 
-        Walks the slots in PBW order, odd exponents 0 or 1 and even ones up
-        to what the budget allows, and stops a branch once the odd slots
-        still to come cannot refund the xi it has overspent."""
+    def _level(self, drop: int) -> dict:
+        """{weight coefficients: monomials} at xi-drop exactly `drop`, walked once."""
+        level = self._levels.get(drop)
+        if level is None:
+            level = self._levels[drop] = self._walk_levels(drop, drop)[drop]
+        return level
+
+    def _walk_levels(self, low: int, high: int) -> dict:
+        """{level: {weight coefficients: monomials}} for every xi-drop level
+        from low to high, each bucket in lexicographic exponent order.
+
+        One depth-first walk over the slots in PBW order, odd exponents 0 or
+        1 and even ones up to what the budget of `high` allows.  It stops a
+        branch once the odd slots still to come cannot refund the xi it has
+        overspent, and files a leaf under the level it reached.  Exponents
+        rise slot by slot, so leaves arrive in lexicographic order."""
         ends, steps, refund, odd = self._ends, self._steps, self._refund, self.neg_parity
         last = len(steps)
-        remaining = list(target) if target is not None else [0] * self.profile.dim
+        coeffs = list(self.lam.coeffs)
         mono = [0] * last
-        found = []
+        levels: dict = {level: {} for level in range(low, high + 1)}
 
         def walk(k, left):
             if left + refund[k] < 0:
                 return
             if k == last:
-                if target is None or not any(remaining):
-                    found.append(tuple(mono))
+                buckets = levels.get(high - left)
+                if buckets is not None:
+                    buckets.setdefault(tuple(coeffs), []).append(tuple(mono))
                 return
             step = steps[k]
             top = 1 if odd[k] else (left + refund[k + 1]) // step
@@ -288,14 +304,17 @@ class VermaModule:
             for count in range(top + 1):
                 mono[k] = count
                 walk(k + 1, left - count * step)
-                remaining[i] -= 1
-                remaining[j] += 1
+                coeffs[i] -= 1
+                coeffs[j] += 1
             mono[k] = 0
-            remaining[i] += top + 1
-            remaining[j] -= top + 1
+            coeffs[i] += top + 1
+            coeffs[j] -= top + 1
 
-        walk(0, drop)
-        return found
+        walk(0, high)
+        return {
+            level: {key: tuple(monos) for key, monos in buckets.items()}
+            for level, buckets in levels.items()
+        }
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
         monos = self.weight_space_monomials(nu)
@@ -581,6 +600,9 @@ def submodule_weight_ranks(
     """Per-weight dimensions of the submodule generated by the seeds,
     restricted to the xi-window below `top`.
 
+    The window's cell count is checked against the bound before the seeds,
+    any iterable of elements, are drawn.
+
     All basis generators are applied repeatedly and ranks grow monotonely
     inside a finite window, so the loop terminates at the exact answer.
     """
@@ -627,8 +649,9 @@ def narrow_image_dims(lam: Weight, depth: int, max_cells: int | None = None) -> 
     """Weight-space dimensions of the submodule generated by the odd product
     vector inside the anti-distinguished Verma module, on the window below lam."""
     module = antidistinguished_module(lam)
-    seed = e_g1_apply(lam, module)
-    return submodule_weight_ranks(module, [seed], lam, depth, max_cells)
+    # a lazy seed: the window's cell bound is checked before it is built
+    seeds = map(e_g1_apply, [lam], [module])
+    return submodule_weight_ranks(module, seeds, lam, depth, max_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from superchar.charring import char_verma
 from superchar.linalg import RowBasis, matrix_rank
 from superchar.rootdata import (
     EnumerationBound,
+    ProfileMismatch,
     RankProfile,
     Root,
     Weight,
@@ -174,6 +175,34 @@ def test_window_monomials_match_oracle(case, depth):
     drop = depth + rho1_doubled_distinguished(lam.profile).xi
     expected = sorted(mono for mono, _, d in box_oracle(module, drop) if d <= drop)
     assert sorted(module._monomials(drop)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(borel_weights(), st.booleans(), st.integers(0, 2))
+def test_level_buckets_match_oracle(case, anti, depth):
+    # every Borel, and the anti-distinguished ambient, whose lowest level
+    # lies above its top: odd steps there are negative
+    b, lam = case
+    module = antidistinguished_module(lam) if anti else VermaModule(b, lam)
+    drop = depth + (rho1_doubled_distinguished(lam.profile).xi if anti else 0)
+    oracle = list(box_oracle(module, drop))
+    weight_of = {mono: coeffs for mono, coeffs, _ in oracle}
+    lowest = -module._refund[0]
+    assert module._level(lowest - 1) == {}
+    for level in range(lowest, drop + 1):
+        buckets = module._level(level)
+        found = sorted(mono for monos in buckets.values() for mono in monos)
+        assert found == sorted(mono for mono, _, d in oracle if d == level)
+        for key, monos in buckets.items():
+            assert monos
+            assert all(weight_of[mono] == key for mono in monos)
+
+
+def test_weight_space_profile_mismatch():
+    # gl(2|2) and gl(3|1) weights have the same length, so only the check tells them apart
+    module = VermaModule(distinguished(P(2, 2)), weight_from_blocks(P(2, 2), [1, 0], [0, 1]))
+    with pytest.raises(ProfileMismatch):
+        module.weight_space_monomials(weight_from_blocks(P(3, 1), [1, 0, 0], [1]))
 
 
 def test_weight_space_basis_depth_cap():
@@ -425,6 +454,42 @@ def test_narrow_image_window_guard():
         narrow_image_dims(lam, 3, max_cells=2)
 
 
+def test_weight_spaces_walk_once_per_level(monkeypatch):
+    walks = []
+    walk_levels = VermaModule._walk_levels
+
+    def counted(module, low, high):
+        walks.append(range(low, high + 1))
+        return walk_levels(module, low, high)
+
+    monkeypatch.setattr(VermaModule, "_walk_levels", counted)
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    ranks = narrow_image_dims(lam, 4)
+    assert len(ranks) == 126
+    assert all(len(levels) == 1 for levels in walks)
+    assert len({nu.xi for nu in ranks}) == len(walks) == len(set(walks)) == 5
+
+
+def test_cell_bound_fires_before_straightening(monkeypatch):
+    p = P(2, 1)
+    lam = weight_from_coords(p, [3, 0], [3])
+    module = antidistinguished_module(lam)
+    cells = sum(len(module.weight_space_monomials(nu)) for nu in cone_weights_below(lam, 3))
+    assert narrow_image_dims(lam, 3, max_cells=cells)
+
+    def no_straightening(*args):
+        raise AssertionError("straightening started before the cell bound was checked")
+
+    monkeypatch.setattr(VermaModule, "apply", no_straightening)
+    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", str(cells - 1))
+    message = (
+        f"window holds more than {cells - 1} basis cells; raise SUPERCHAR_MAX_CELLS to proceed"
+    )
+    with pytest.raises(EnumerationBound) as excinfo:
+        narrow_image_dims(lam, 3)
+    assert str(excinfo.value) == message
+
+
 def test_narrow_image_window_env_guard(monkeypatch):
     monkeypatch.setenv("SUPERCHAR_MAX_CELLS", "2")
     p = P(2, 1)
@@ -478,7 +543,7 @@ def test_row_basis_incremental():
     assert basis.insert([0, 1, 1])
     assert not basis.insert([1, 3, 4])
     assert basis.rank == 2
-    assert basis.contains([2, 5, 7])
+    assert not any(basis.reduce([2, 5, 7]))
     assert matrix_rank([[1, 2, 3], [0, 1, 1], [1, 3, 4]]) == 2
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(5)]]) == 2
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]) == 1
