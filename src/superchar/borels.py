@@ -66,12 +66,6 @@ class BorelElt:
     def box_count(self) -> int:
         return sum(self.partition)
 
-    def is_distinguished(self) -> bool:
-        return not self.partition
-
-    def is_antidistinguished(self) -> bool:
-        return self.box_count() == self.profile.m * self.profile.n
-
     # -- root data ---------------------------------------------------------
 
     def positive_roots(self) -> frozenset[Root]:

@@ -185,9 +185,6 @@ class FormalChar:
             raise DepthError(f"{w} lies below the valid cutoff of this series")
         return self.coeffs.get(w, 0)
 
-    def support(self):
-        return set(self.coeffs)
-
     def _sorted_tuples(self):
         """(coefficient tuple, coeff) by descending level, then by tuple."""
         for level in sorted(self._levels, reverse=True):

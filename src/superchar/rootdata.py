@@ -382,10 +382,6 @@ class RhoVectors:
     rho0_x2: Weight
     rho1_b_x2: Weight
 
-    @property
-    def rho1_b_is_integral(self) -> bool:
-        return all(c % 2 == 0 for c in self.rho1_b_x2.coeffs)
-
 
 def rho_vectors(profile: RankProfile, borel) -> RhoVectors:
     if borel.profile != profile:

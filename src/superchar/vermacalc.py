@@ -15,6 +15,11 @@ supercommutator.  Every coefficient is an integer: the straightening,
 the elements it produces and the row reduction of their coordinates
 use no rationals.  Only `VermaElement.proportionality` returns one, the
 ratio of two elements.
+
+An element's weight is read off its first monomial.  Homogeneity is
+checked at the boundary: by `VermaModule.element`, by `+`, and by
+`coordinates`, which every element passes before it reaches a row basis.
+The submodule closure knows an image's weight before it straightens.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -98,24 +102,6 @@ def supercommutator_matrix_oracle(profile, x, y) -> dict:
 # Verma modules
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
-    """Readable view of one basis monomial: exponents over the b-positive
-    roots whose lowering vectors build it, in the module's fixed order."""
-
-    borel: BorelElt
-    roots: tuple[Root, ...]
-    exponents: tuple[int, ...]
-    weight: Weight
-
-    def as_dict(self) -> dict:
-        return {r: e for r, e in zip(self.roots, self.exponents) if e}
-
-    @property
-    def length(self) -> int:
-        return sum(self.exponents)
-
-
 class VermaModule:
     """M^b(lam) with its canonical PBW monomial basis."""
 
@@ -160,17 +146,16 @@ class VermaModule:
     def mono_weight(self, mono) -> Weight:
         return Weight(self.profile, self._mono_coeffs(mono))
 
-    def describe(self, mono) -> PBWMonomial:
-        return PBWMonomial(self.borel, self.pbw_roots, tuple(mono), self.mono_weight(mono))
-
     def highest_vector(self) -> "VermaElement":
         return VermaElement(self, {self.zero_mono: 1})
 
     def element(self, terms: dict) -> "VermaElement":
-        """The combination of monomials with the given integer coefficients."""
+        """The combination of one weight's monomials with the given integer coefficients."""
         for c in terms.values():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an integer")
+        if len({self._mono_coeffs(m) for m, c in terms.items() if c}) > 1:
+            raise ValueError("inhomogeneous combination of monomials")
         return VermaElement(self, terms)
 
     def zero(self) -> "VermaElement":
@@ -317,11 +302,15 @@ class VermaModule:
         }
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
+        """elem over nu's weight-space basis; a term of another weight is a ConsistencyError."""
         monos = self.weight_space_monomials(nu)
         index = {m: k for k, m in enumerate(monos)}
         vec = [0] * len(monos)
         for mono, coeff in elem.terms.items():
-            vec[index[mono]] = coeff
+            k = index.get(mono)
+            if k is None:
+                raise ConsistencyError(f"monomial {mono} is not in the weight space of {nu}")
+            vec[k] = coeff
         return vec
 
     def __repr__(self):
@@ -329,17 +318,21 @@ class VermaModule:
 
 
 class VermaElement:
-    """Homogeneous element: sparse integer combination of one weight's monomials."""
+    """Homogeneous element: sparse integer combination of one weight's monomials.
 
-    __slots__ = ("module", "terms", "weight")
+    The constructor only drops zeros; homogeneity is checked at the boundary."""
+
+    __slots__ = ("module", "terms")
 
     def __init__(self, module: VermaModule, terms: dict):
         self.module = module
         self.terms = {m: c for m, c in terms.items() if c}
-        coeffs = {module._mono_coeffs(m) for m in self.terms}
-        if len(coeffs) > 1:
-            raise ValueError("inhomogeneous combination of monomials")
-        self.weight = Weight(module.profile, coeffs.pop()) if coeffs else None
+
+    @property
+    def weight(self) -> Weight | None:
+        """The weight of the first monomial, None for zero."""
+        mono = next(iter(self.terms), None)
+        return None if mono is None else self.module.mono_weight(mono)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -347,6 +340,8 @@ class VermaElement:
     def __add__(self, other: "VermaElement") -> "VermaElement":
         if self.module is not other.module:
             raise ValueError("elements of different modules")
+        if self.terms and other.terms and self.weight != other.weight:
+            raise ValueError("inhomogeneous combination of monomials")
         out = dict(self.terms)
         for m, c in other.terms.items():
             val = out.get(m, 0) + c
@@ -523,6 +518,7 @@ def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
     if not generators:
         return True
     window = module._monomials(depth + rho1_doubled_distinguished(p).xi)
+    _check_cells(len(window), max_cells_from_env())
     for x in generators:
         scalar = None
         for mono in window:
@@ -562,10 +558,20 @@ def max_cells_from_env() -> int:
     return value
 
 
+def _check_cells(cells: int, max_cells: int) -> None:
+    if cells > max_cells:
+        raise EnumerationBound(
+            f"window holds more than {max_cells} basis cells; "
+            "raise SUPERCHAR_MAX_CELLS to proceed"
+        )
+
+
 @lru_cache(maxsize=None)
 def _generator_pairs(profile: RankProfile):
+    """Every off-diagonal basis pair (i, j) with its root weight eps_i - eps_j."""
     d = profile.dim
-    return tuple((i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j)
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j]
+    return tuple((x, Root(profile, *x).as_weight()) for x in pairs)
 
 
 def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
@@ -605,6 +611,9 @@ def submodule_weight_ranks(
 
     All basis generators are applied repeatedly and ranks grow monotonely
     inside a finite window, so the loop terminates at the exact answer.
+    The queue holds (weight, element) pairs: an image's weight is its
+    element's weight plus the generator's root, known before straightening,
+    so a generator leading out of the window is never applied.
     """
     p = module.profile
     floor = top.xi - depth
@@ -613,11 +622,7 @@ def submodule_weight_ranks(
     total_cells = 0
     for nu in candidates:
         total_cells += len(module.weight_space_monomials(nu))
-        if total_cells > max_cells:
-            raise EnumerationBound(
-                f"window holds more than {max_cells} basis cells; "
-                "raise SUPERCHAR_MAX_CELLS to proceed"
-            )
+        _check_cells(total_cells, max_cells)
     bases: dict[Weight, RowBasis] = {}
     queue: deque = deque()
     for seed in seeds:
@@ -628,20 +633,20 @@ def submodule_weight_ranks(
             continue
         basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
         if basis.insert(module.coordinates(seed, nu)):
-            queue.append(seed)
+            queue.append((nu, seed))
     generators = _generator_pairs(p)
     while queue:
-        elem = queue.popleft()
-        for x in generators:
+        mu, elem = queue.popleft()
+        for x, root in generators:
+            if not floor <= mu.xi + root.xi <= top.xi:
+                continue
             image = module.apply(x, elem)
             if image.is_zero():
                 continue
-            nu = image.weight
-            if not floor <= nu.xi <= top.xi:
-                continue
+            nu = mu + root
             basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
             if basis.insert(module.coordinates(image, nu)):
-                queue.append(image)
+                queue.append((nu, image))
     return {nu: bases[nu].rank if nu in bases else 0 for nu in candidates}
 
 
@@ -692,7 +697,7 @@ def bgg_square_check(lam: Weight, w: WeylElt) -> bool:
     if ratio is None or ratio == 0 or route_b.is_zero():
         return False
     # one step deeper: the exact relation persists under every generator
-    for x in _generator_pairs(p):
+    for x, _ in _generator_pairs(p):
         im_a = module.apply(x, route_a)
         im_b = module.apply(x, route_b)
         if not (im_a.scale(ratio.denominator) - im_b.scale(ratio.numerator)).is_zero():

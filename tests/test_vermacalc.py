@@ -13,6 +13,7 @@ from superchar.borels import borel, distinguished, enumerate_borels
 from superchar.charring import char_verma
 from superchar.linalg import RowBasis, matrix_rank
 from superchar.rootdata import (
+    ConsistencyError,
     EnumerationBound,
     ProfileMismatch,
     RankProfile,
@@ -238,6 +239,9 @@ def test_element_rejects_mixed_weights():
         module.element({(0, 0, 0): 1, (0, 1, 0): 1})
     with pytest.raises(TypeError, match="not an integer"):
         module.element({(0, 1, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        module.element({(0, 0, 1): 1}) + module.element({(0, 1, 0): 1})
+    assert (module.zero() + elem).terms == elem.terms
 
 
 def test_pbw_coefficients_are_integers():
@@ -254,6 +258,22 @@ def test_pbw_coefficients_are_integers():
     ratio = a.proportionality(b)
     assert type(ratio) is Fraction and ratio == Fraction(2, 3)
     assert module.element({(1, 0, 1): 2, (0, 1, 0): 3}).proportionality(b) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(borel_weights(), st.integers(0, 2))
+def test_act_basis_moves_weight_by_the_root(case, drop):
+    # the closure trusts this: an image's weight is its monomial's plus eps_i - eps_j
+    b, lam = case
+    module = VermaModule(b, lam)
+    for mono in module._monomials(drop):
+        coeffs = module.mono_weight(mono).coeffs
+        for i, j in all_pairs(lam.profile):
+            moved = list(coeffs)
+            moved[i - 1] += 1
+            moved[j - 1] -= 1
+            for term in module.act_basis((i, j), mono):
+                assert module.mono_weight(term).coeffs == tuple(moved)
 
 
 def test_raising_annihilates_highest_vector():
@@ -412,6 +432,21 @@ def test_eg1_centralizes():
     assert eg1_centralizes(weight_from_coords(p22, [7, 2], [2, 7]), 2)
 
 
+def test_eg1_centralizes_cell_bound(monkeypatch):
+    lam = weight_from_coords(P(2, 1), [3, 0], [3])
+    cells = len(antidistinguished_module(lam)._monomials(2 + rho1_doubled_distinguished(lam.profile).xi))
+    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", str(cells))
+    assert eg1_centralizes(lam, 2)
+
+    def no_straightening(*args):
+        raise AssertionError("straightening started before the cell bound was checked")
+
+    monkeypatch.setattr(VermaModule, "apply", no_straightening)
+    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", str(cells - 1))
+    with pytest.raises(EnumerationBound, match="SUPERCHAR_MAX_CELLS"):
+        eg1_centralizes(lam, 2)
+
+
 # -- narrow submodule ranks ----------------------------------------------------------
 
 
@@ -498,6 +533,39 @@ def test_narrow_image_window_env_guard(monkeypatch):
         narrow_image_dims(lam, 3)
 
 
+def test_closure_straightens_only_inside_window(monkeypatch):
+    # the bench image shape: no generator is applied whose image leaves the window
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    module = antidistinguished_module(lam)
+    seed = e_g1_apply(lam, module)
+    expected = narrow_image_dims(lam, 4)
+    calls = []
+    apply = VermaModule.apply
+
+    def recorded(module, x, elem):
+        calls.append((x, elem.weight))
+        return apply(module, x, elem)
+
+    monkeypatch.setattr(VermaModule, "apply", recorded)
+    ranks = submodule_weight_ranks(module, [seed], lam, 4)
+    assert ranks == expected
+    assert calls
+    for (i, j), mu in calls:
+        assert lam.xi - 4 <= (mu + Root(lam.profile, i, j).as_weight()).xi <= lam.xi
+
+
+def test_wrong_weight_straightening_is_caught(monkeypatch):
+    # a homogeneous straightening of the wrong weight must not reach a row basis
+    act_basis = VermaModule.act_basis
+
+    def wrong(module, x, mono):
+        return act_basis(module, (3, 1) if x == (2, 1) else x, mono)
+
+    monkeypatch.setattr(VermaModule, "act_basis", wrong)
+    with pytest.raises(ConsistencyError, match="not in the weight space"):
+        narrow_image_dims(weight_from_coords(P(2, 1), [3, 0], [3]), 3)
+
+
 def test_submodule_growth_of_whole_verma():
     # seeding with the highest vector recovers full weight spaces
     p = P(2, 1)
@@ -572,14 +640,3 @@ def test_rank_matches_sympy(rows):
         assert basis.pivots == sorted(basis.pivots)
     assert matrix_rank(rows) == basis.rank == expected
 
-
-def test_pbw_monomial_view():
-    p = P(2, 1)
-    lam = weight_from_coords(p, [3, 0], [3])
-    module = VermaModule(distinguished(p), lam)
-    mono = module.weight_space_monomials(lam - Root(p, 1, 3).as_weight())[0]
-    view = module.describe(mono)
-    assert view.borel == module.borel
-    assert view.weight == module.mono_weight(mono)
-    assert view.length == sum(mono)
-    assert all(root in module.pbw_roots for root in view.as_dict())
