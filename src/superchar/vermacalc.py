@@ -19,18 +19,19 @@ ratio of two elements.
 An element's weight is read off its first monomial.  Homogeneity is
 checked at the boundary: by `VermaModule.element`, by `+`, and by
 `coordinates`, which every element passes before it reaches a row basis.
-The submodule closure knows an image's weight before it straightens.
+A submodule generated by a vector that the distinguished raisers kill is
+the image of a distinguished Verma module, so its ranks come from one
+memoised `apply` per source PBW monomial, whose weight is known before
+it straightens.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 
-from .borels import BorelElt, antidistinguished
+from .borels import BorelElt, antidistinguished, distinguished
 from .linalg import RowBasis, matrix_rank
 from .rootdata import (
     ConsistencyError,
@@ -67,35 +68,6 @@ def supercommutator(profile: RankProfile, x: tuple[int, int], y: tuple[int, int]
     if l == i:
         terms[(k, j)] = terms.get((k, j), 0) - sign
     return [(c, p) for p, c in terms.items() if c]
-
-
-def matrix_of(profile: RankProfile, pair) -> list[list[int]]:
-    d = profile.dim
-    out = [[0] * d for _ in range(d)]
-    out[pair[0] - 1][pair[1] - 1] = 1
-    return out
-
-
-def supercommutator_matrix_oracle(profile, x, y) -> dict:
-    """AB - (-1)^{|x||y|} BA, returned as a pair -> coefficient map."""
-    d = profile.dim
-    a, b = matrix_of(profile, x), matrix_of(profile, y)
-    sign = -1 if pair_parity(profile, x) and pair_parity(profile, y) else 1
-
-    def mul(u, v):
-        return [
-            [sum(u[r][t] * v[t][c] for t in range(d)) for c in range(d)]
-            for r in range(d)
-        ]
-
-    ab, ba = mul(a, b), mul(b, a)
-    out = {}
-    for r in range(d):
-        for c in range(d):
-            val = ab[r][c] - sign * ba[r][c]
-            if val:
-                out[(r + 1, c + 1)] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,47 +472,8 @@ def eg1_order_independence(lam: Weight, trials: int = 4, seed: int = 0) -> bool:
     return True
 
 
-def eg1_centralizes(lam: Weight, depth: int = 2) -> bool:
-    """Each even negative simple generator commutes with the odd product,
-    as operators on the window, up to one global scalar per generator."""
-    p = lam.profile
-    module = antidistinguished_module(lam)
-    odd_pairs = _odd_product_pairs(p)
-
-    def odd_product(elem):
-        return module.apply_word(odd_pairs, elem)
-
-    generators = []
-    for i in range(1, p.m):
-        generators.append((i + 1, i))
-    for j in range(1, p.n):
-        generators.append((p.m + j + 1, p.m + j))
-    if not generators:
-        return True
-    window = module._monomials(depth + rho1_doubled_distinguished(p).xi)
-    _check_cells(len(window), max_cells_from_env())
-    for x in generators:
-        scalar = None
-        for mono in window:
-            u = module.element({mono: 1})
-            lhs = module.apply(x, odd_product(u))
-            rhs = odd_product(module.apply(x, u))
-            if rhs.is_zero():
-                if not lhs.is_zero():
-                    return False
-                continue  # both zero: no constraint
-            ratio = lhs.proportionality(rhs)
-            if ratio is None:
-                return False
-            if scalar is None:
-                scalar = ratio
-            elif scalar != ratio:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Submodule growth and narrow-module weight ranks
+# Verma images and narrow-module weight ranks
 
 
 def max_cells_from_env() -> int:
@@ -564,14 +497,6 @@ def _check_cells(cells: int, max_cells: int) -> None:
             f"window holds more than {max_cells} basis cells; "
             "raise SUPERCHAR_MAX_CELLS to proceed"
         )
-
-
-@lru_cache(maxsize=None)
-def _generator_pairs(profile: RankProfile):
-    """Every off-diagonal basis pair (i, j) with its root weight eps_i - eps_j."""
-    d = profile.dim
-    pairs = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j]
-    return tuple((x, Root(profile, *x).as_weight()) for x in pairs)
 
 
 def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
@@ -609,11 +534,17 @@ def submodule_weight_ranks(
     The window's cell count is checked against the bound before the seeds,
     any iterable of elements, are drawn.
 
-    All basis generators are applied repeatedly and ranks grow monotonely
-    inside a finite window, so the loop terminates at the exact answer.
-    The queue holds (weight, element) pairs: an image's weight is its
-    element's weight plus the generator's root, known before straightening,
-    so a generator leading out of the window is never applied.
+    Every seed must be singular for the distinguished Borel: each of its
+    simple raisers kills the seed, or ConsistencyError is raised.  Those
+    raisers generate n+, so U(g).seed = U(n-)U(h)U(n+).seed = U(n-).seed,
+    the image of the Verma module M^dist(mu) -> module, v -> seed, at the
+    seed's weight mu (Kac, LNM 676, 1978).  Its rank at nu is the rank of
+    the images of M^dist(mu)'s PBW monomials of weight nu.  The source
+    levels are walked shallow to deep, and a monomial's image is one
+    `apply` of its leading lowering vector to the image of the monomial
+    with that factor removed, memoised; a zero image stays zero for every
+    monomial that extends it.  A weight whose row basis is full takes no
+    further images.  A seed outside the window contributes nothing.
     """
     p = module.profile
     floor = top.xi - depth
@@ -623,30 +554,43 @@ def submodule_weight_ranks(
     for nu in candidates:
         total_cells += len(module.weight_space_monomials(nu))
         _check_cells(total_cells, max_cells)
+    dist = distinguished(p)
+    raisers = [(r.i, r.j) for r in dist.simple_roots()]
     bases: dict[Weight, RowBasis] = {}
-    queue: deque = deque()
     for seed in seeds:
         if seed.is_zero():
             continue
-        nu = seed.weight
-        if not floor <= nu.xi <= top.xi:
+        mu = seed.weight
+        if any(not module.apply(x, seed).is_zero() for x in raisers):
+            raise ConsistencyError(f"seed of weight {mu} is not singular for {dist}")
+        if not floor <= mu.xi <= top.xi:
             continue
-        basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
-        if basis.insert(module.coordinates(seed, nu)):
-            queue.append((nu, seed))
-    generators = _generator_pairs(p)
-    while queue:
-        mu, elem = queue.popleft()
-        for x, root in generators:
-            if not floor <= mu.xi + root.xi <= top.xi:
-                continue
-            image = module.apply(x, elem)
-            if image.is_zero():
-                continue
-            nu = mu + root
-            basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
-            if basis.insert(module.coordinates(image, nu)):
-                queue.append((nu, image))
+        source = VermaModule(dist, mu)
+        images = {source.zero_mono: seed}
+
+        def image(mono):
+            img = images.get(mono)
+            if img is None:
+                t = next(k for k, e in enumerate(mono) if e)
+                prev = list(mono)
+                prev[t] -= 1
+                below = image(tuple(prev))
+                img = below if below.is_zero() else module.apply(source.neg_pairs[t], below)
+                images[mono] = img
+            return img
+
+        for drop in range(mu.xi - floor + 1):
+            for coeffs, monos in source._level(drop).items():
+                nu = Weight(p, coeffs)
+                basis = bases.get(nu)
+                if basis is None:
+                    basis = bases[nu] = RowBasis(len(module.weight_space_monomials(nu)))
+                for mono in monos:
+                    if basis.rank == basis.width:
+                        break
+                    img = image(mono)
+                    if not img.is_zero():
+                        basis.insert(module.coordinates(img, nu))
     return {nu: bases[nu].rank if nu in bases else 0 for nu in candidates}
 
 
@@ -697,7 +641,8 @@ def bgg_square_check(lam: Weight, w: WeylElt) -> bool:
     if ratio is None or ratio == 0 or route_b.is_zero():
         return False
     # one step deeper: the exact relation persists under every generator
-    for x, _ in _generator_pairs(p):
+    d = p.dim
+    for x in ((i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j):
         im_a = module.apply(x, route_a)
         im_b = module.apply(x, route_b)
         if not (im_a.scale(ratio.denominator) - im_b.scale(ratio.numerator)).is_zero():

@@ -91,6 +91,8 @@ def test_criterion_03_narrow_image_vs_formula():
         (P(2, 2), ([7, 2], [2, 7]), 2),
         (P(2, 2), ([9, 1], [2, 8]), 2),
         (P(4, 4), ([30, 20, 10, 0], [0, 10, 20, 30]), 2),
+        (P(4, 4), ([30, 20, 10, 0], [0, 10, 20, 30]), 8),
+        (P(5, 5), ([40, 30, 20, 10, 0], [0, 10, 20, 30, 40]), 5),
     ]
     for p, (eps, delta), depth in cases:
         assert image_check(weight_from_coords(p, eps, delta), depth).passed

@@ -1,16 +1,18 @@
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superchar.bggcheck import image_check, verma_count_check
-from superchar.borels import borel, distinguished, enumerate_borels
+from superchar.borels import antidistinguished, borel, distinguished, enumerate_borels
 from superchar.charring import char_verma
+from superchar.diagrams import is_g1_generic
 from superchar.linalg import RowBasis, matrix_rank
 from superchar.rootdata import (
     ConsistencyError,
@@ -19,8 +21,11 @@ from superchar.rootdata import (
     RankProfile,
     Root,
     Weight,
+    classify,
     dot_action,
+    odd_positive_roots,
     reflection,
+    rho,
     rho1_doubled_distinguished,
     rho_b,
     weight_from_blocks,
@@ -31,8 +36,8 @@ from superchar.vermacalc import (
     antidistinguished_module,
     bgg_square_check,
     cone_weights_below,
+    coroot_pairing,
     e_g1_apply,
-    eg1_centralizes,
     eg1_order_independence,
     narrow_image_dims,
     pair_parity,
@@ -40,7 +45,6 @@ from superchar.vermacalc import (
     singular_vector_even,
     submodule_weight_ranks,
     supercommutator,
-    supercommutator_matrix_oracle,
     weight_space_basis,
 )
 
@@ -55,6 +59,35 @@ def all_pairs(p):
 
 
 # -- structure constants ------------------------------------------------------
+
+
+def matrix_of(profile, pair) -> list[list[int]]:
+    d = profile.dim
+    out = [[0] * d for _ in range(d)]
+    out[pair[0] - 1][pair[1] - 1] = 1
+    return out
+
+
+def supercommutator_matrix_oracle(profile, x, y) -> dict:
+    """AB - (-1)^{|x||y|} BA, returned as a pair -> coefficient map."""
+    d = profile.dim
+    a, b = matrix_of(profile, x), matrix_of(profile, y)
+    sign = -1 if pair_parity(profile, x) and pair_parity(profile, y) else 1
+
+    def mul(u, v):
+        return [
+            [sum(u[r][t] * v[t][c] for t in range(d)) for c in range(d)]
+            for r in range(d)
+        ]
+
+    ab, ba = mul(a, b), mul(b, a)
+    out = {}
+    for r in range(d):
+        for c in range(d):
+            val = ab[r][c] - sign * ba[r][c]
+            if val:
+                out[(r + 1, c + 1)] = val
+    return out
 
 
 def test_supercommutator_examples():
@@ -423,31 +456,74 @@ def test_e_g1_order_independence():
     assert swapped.proportionality(base) in (Fraction(1), Fraction(-1))
 
 
-def test_eg1_centralizes():
-    p11 = P(1, 1)
-    assert eg1_centralizes(weight_from_blocks(p11, [2], [0]), 2)
-    p21 = P(2, 1)
-    assert eg1_centralizes(weight_from_coords(p21, [3, 0], [3]), 2)
-    p22 = P(2, 2)
-    assert eg1_centralizes(weight_from_coords(p22, [7, 2], [2, 7]), 2)
-
-
-def test_eg1_centralizes_cell_bound(monkeypatch):
-    lam = weight_from_coords(P(2, 1), [3, 0], [3])
-    cells = len(antidistinguished_module(lam)._monomials(2 + rho1_doubled_distinguished(lam.profile).xi))
-    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", str(cells))
-    assert eg1_centralizes(lam, 2)
-
-    def no_straightening(*args):
-        raise AssertionError("straightening started before the cell bound was checked")
-
-    monkeypatch.setattr(VermaModule, "apply", no_straightening)
-    monkeypatch.setenv("SUPERCHAR_MAX_CELLS", str(cells - 1))
-    with pytest.raises(EnumerationBound, match="SUPERCHAR_MAX_CELLS"):
-        eg1_centralizes(lam, 2)
-
-
 # -- narrow submodule ranks ----------------------------------------------------------
+
+
+def closure_ranks(module, seeds, top, depth):
+    """Ranks of the submodule the seeds generate, grown by applying every
+    off-diagonal generator to every element that raises a rank until no
+    rank grows: an oracle for the Verma-image walk of
+    `submodule_weight_ranks` that assumes no singularity of the seeds."""
+    p = module.profile
+    floor = top.xi - depth
+    generators = [(x, Root(p, *x).as_weight()) for x in all_pairs(p) if x[0] != x[1]]
+    bases: dict = {}
+    queue: deque = deque()
+
+    def grow(nu, elem):
+        basis = bases.setdefault(nu, RowBasis(len(module.weight_space_monomials(nu))))
+        if basis.insert(module.coordinates(elem, nu)):
+            queue.append((nu, elem))
+
+    for seed in seeds:
+        if not seed.is_zero() and floor <= seed.weight.xi <= top.xi:
+            grow(seed.weight, seed)
+    while queue:
+        mu, elem = queue.popleft()
+        for x, root in generators:
+            if floor <= mu.xi + root.xi <= top.xi:
+                image = module.apply(x, elem)
+                if not image.is_zero():
+                    grow(mu + root, image)
+    return {nu: bases[nu].rank if nu in bases else 0 for nu in cone_weights_below(top, depth)}
+
+
+@st.composite
+def generic_dominant_weights(draw):
+    """A g_-1-generic regular dominant weight of gl(2|1), gl(1|2) or gl(2|2)."""
+    p = draw(st.sampled_from([P(2, 1), P(1, 2), P(2, 2)]))
+    gaps = st.integers(1, 8)
+
+    def block(size, sign):
+        start = draw(st.integers(0, 12))
+        values = [start]
+        for _ in range(size - 1):
+            values.append(values[-1] + sign * draw(gaps))
+        return values
+
+    lam = weight_from_coords(p, block(p.m, -1), block(p.n, 1))
+    assume(is_g1_generic(lam))
+    return lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_dominant_weights(), st.integers(0, 3))
+def test_verma_image_matches_closure(lam, depth):
+    flags = classify(lam)
+    assert flags.regular and flags.dominant
+    p = lam.profile
+    module = antidistinguished_module(lam)
+    assert narrow_image_dims(lam, depth) == closure_ranks(module, [e_g1_apply(lam, module)], lam, depth)
+    # the seed of small_rank_exactness, the odd product after E_{-alpha}^k,
+    # for every even simple root alpha
+    odd_pairs = [(beta.i, beta.j) for beta in odd_positive_roots(p)]
+    for alpha in distinguished(p).simple_roots():
+        if alpha.is_odd:
+            continue
+        k = coroot_pairing(lam + rho(p), alpha)
+        embedded = module.apply_word(odd_pairs, module.lowered(alpha, k))
+        ranks = submodule_weight_ranks(module, [embedded], lam, depth)
+        assert ranks == closure_ranks(module, [embedded], lam, depth)
 
 
 def test_narrow_image_gl11():
@@ -490,19 +566,26 @@ def test_narrow_image_window_guard():
 
 
 def test_weight_spaces_walk_once_per_level(monkeypatch):
-    walks = []
+    # two modules walk: the anti-distinguished ambient, for the window's
+    # weight spaces, and the distinguished source, for the PBW monomials
+    # whose images span the submodule; each walks each level once
+    walks: dict = {}
     walk_levels = VermaModule._walk_levels
 
     def counted(module, low, high):
-        walks.append(range(low, high + 1))
+        walks.setdefault(module.borel, []).append(range(low, high + 1))
         return walk_levels(module, low, high)
 
     monkeypatch.setattr(VermaModule, "_walk_levels", counted)
-    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    p = P(3, 3)
+    lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
     ranks = narrow_image_dims(lam, 4)
     assert len(ranks) == 126
-    assert all(len(levels) == 1 for levels in walks)
-    assert len({nu.xi for nu in ranks}) == len(walks) == len(set(walks)) == 5
+    assert set(walks) == {antidistinguished(p), distinguished(p)}
+    for levels in walks.values():
+        assert all(len(level) == 1 for level in levels)
+        assert len({nu.xi for nu in ranks}) == len(levels) == len(set(levels)) == 5
+    assert walks[distinguished(p)] == [range(drop, drop + 1) for drop in range(5)]
 
 
 def test_cell_bound_fires_before_straightening(monkeypatch):
@@ -534,24 +617,52 @@ def test_narrow_image_window_env_guard(monkeypatch):
 
 
 def test_closure_straightens_only_inside_window(monkeypatch):
-    # the bench image shape: no generator is applied whose image leaves the window
+    # the bench image shape: apart from the singularity check, one call per
+    # distinguished simple raiser on the seed, no generator is applied whose
+    # image leaves the window
     lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
     module = antidistinguished_module(lam)
     seed = e_g1_apply(lam, module)
-    expected = narrow_image_dims(lam, 4)
+    expected = closure_ranks(module, [seed], lam, 4)
     calls = []
     apply = VermaModule.apply
 
     def recorded(module, x, elem):
-        calls.append((x, elem.weight))
+        calls.append((x, elem))
         return apply(module, x, elem)
 
     monkeypatch.setattr(VermaModule, "apply", recorded)
     ranks = submodule_weight_ranks(module, [seed], lam, 4)
     assert ranks == expected
-    assert calls
-    for (i, j), mu in calls:
+    raisers = [(r.i, r.j) for r in distinguished(lam.profile).simple_roots()]
+    assert [x for x, elem in calls if elem is seed and x in raisers] == raisers
+    walk = [(x, elem.weight) for x, elem in calls if not (elem is seed and x in raisers)]
+    assert walk
+    for (i, j), mu in walk:
         assert lam.xi - 4 <= (mu + Root(lam.profile, i, j).as_weight()).xi <= lam.xi
+
+
+def test_non_singular_seed_is_refused():
+    # the anti-distinguished highest vector is lowered, not killed, by the
+    # odd distinguished simple raiser, so it generates more than its Verma image
+    lam = weight_from_coords(P(2, 1), [3, 0], [3])
+    module = antidistinguished_module(lam)
+    with pytest.raises(ConsistencyError, match="not singular"):
+        submodule_weight_ranks(module, [module.highest_vector()], module.lam, 2)
+
+
+def test_cell_bound_fires_before_singularity_check(monkeypatch):
+    lam = weight_from_coords(P(2, 1), [3, 0], [3])
+    module = antidistinguished_module(lam)
+    seed = e_g1_apply(lam, module)
+    cells = sum(len(module.weight_space_monomials(nu)) for nu in cone_weights_below(lam, 3))
+
+    def no_straightening(*args):
+        raise AssertionError("the singularity check ran before the cell bound was checked")
+
+    monkeypatch.setattr(VermaModule, "apply", no_straightening)
+    with pytest.raises(EnumerationBound, match="SUPERCHAR_MAX_CELLS"):
+        submodule_weight_ranks(module, [seed], lam, 3, max_cells=cells - 1)
 
 
 def test_wrong_weight_straightening_is_caught(monkeypatch):
@@ -575,6 +686,7 @@ def test_submodule_growth_of_whole_verma():
     ranks = submodule_weight_ranks(module, [module.highest_vector()], lam, 3)
     chart = char_verma(b0, lam, 3)
     assert ranks == {nu: chart.coeff(nu) for nu in ranks}
+    assert ranks == closure_ranks(module, [module.highest_vector()], lam, 3)
 
 
 # -- square commutation ---------------------------------------------------------------
