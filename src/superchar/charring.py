@@ -40,15 +40,13 @@ from .rootdata import (
     WeylElt,
     atypicality,
     classify,
-    dot_action,
-    dot_action_usual,
     even_positive_roots,
     is_even_dominant,
     odd_positive_roots,
     pairing,
     rho,
     rho_b,
-    weyl_group,
+    weyl_window,
     zero_weight,
 )
 
@@ -463,16 +461,12 @@ def even_verma_sum(lam: Weight, roots, depth: int) -> FormalChar:
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
-    """Alternating Verma sum over the Weyl group with the usual dot action."""
+    """Alternating Verma sum over W; `dot_action` is the usual one, as W fixes rho - rho0."""
     if not is_even_dominant(mu):
         raise ValueError(f"{mu} is not dominant for the even subalgebra")
-    p = mu.profile
     floor = mu.xi - depth
-    total = zero_char(p, mu, depth)
-    for w in weyl_group(p):
-        nu = dot_action_usual(w, mu)
-        if nu.xi < floor:
-            continue
+    total = zero_char(mu.profile, mu, depth)
+    for w, nu in weyl_window(mu, depth):
         total = total + char_even_verma(nu, nu.xi - floor).scale(w.sign)
     return total
 
@@ -552,10 +546,7 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     # (b) the same sum with the non-atypical odd product inside
     # (c) alternating Verma characters divided by the moved gamma factors
     inner = expr_b = expr_c = zero_char(p, lam, depth)
-    for w in weyl_group(p):
-        nu = dot_action(w, lam)
-        if nu.xi < floor:
-            continue
+    for w, nu in weyl_window(lam, depth):
         moved = moved_gamma(w)
         top = _floored(nu, floor)
         inner = inner + _units(top, atypical=moved).scale(w.sign)

@@ -405,13 +405,38 @@ def dot_action(w: WeylElt, lam: Weight, borel=None) -> Weight:
     return w.act(lam + shift) - shift
 
 
-def dot_action_usual(w: WeylElt, lam: Weight) -> Weight:
-    """w(lam + rho0) - rho0, computed with doubled vectors to stay integral."""
-    doubled = 2 * lam + rho0_doubled(lam.profile)
-    moved = w.act(doubled) - rho0_doubled(lam.profile)
-    if any(c % 2 for c in moved.coeffs):
-        raise ConsistencyError(f"doubled dot action {moved} has an odd coordinate")
-    return Weight(lam.profile, tuple(c // 2 for c in moved.coeffs))
+def weyl_window(lam: Weight, depth: int) -> list[tuple[WeylElt, Weight]]:
+    """Every (w, w.lam) with xi(lam) - xi(w.lam) <= depth, shortest w first.
+
+    A breadth-first walk from the identity, left-multiplying by simple
+    reflections and pruning each w whose dot image is below the floor.  It
+    is exact for dominant lam, where lam + rho is weakly decreasing in each
+    block: for a simple root alpha = eps_a - eps_b, s_alpha w.lam = w.lam - c alpha
+    with c = (w(lam + rho))_a - (w(lam + rho))_b >= 0 when s_alpha w is longer
+    than w, and xi(alpha) > 0.  So a length-raising left multiplication never
+    lowers the drop, and each right-hand factor s_ik ... s_i1 of a reduced
+    word of a window element lies in the window.  A window over
+    DEFAULT_WEYL_BOUND raises EnumerationBound before anything is returned.
+    """
+    if not classify(lam).dominant:
+        raise ValueError(f"{lam} is not dominant")
+    p = lam.profile
+    simple = [reflection(r) for r in even_positive_roots(p) if r.j == r.i + 1]
+    start = identity_weyl(p)
+    window = [(start, lam)] if depth >= 0 else []
+    seen = {start}
+    for w, _ in window:  # grows while it is read: the breadth-first queue
+        for s in simple:
+            v = s * w
+            if v in seen:
+                continue
+            seen.add(v)
+            nu = dot_action(v, lam)
+            if lam.xi - nu.xi <= depth:
+                window.append((v, nu))
+                if len(window) > DEFAULT_WEYL_BOUND:
+                    raise EnumerationBound(f"Weyl window exceeds bound {DEFAULT_WEYL_BOUND}")
+    return window
 
 
 # ---------------------------------------------------------------------------

@@ -218,41 +218,33 @@ class VermaModule:
             raise ProfileMismatch(f"profile mismatch: {self.profile} vs {nu.profile}")
         return self._level(self.lam.xi - nu.xi).get(nu.coeffs, ())
 
-    def _monomials(self, drop: int) -> list:
-        """Exponent tuples whose xi-drop below lam is at most `drop`: the
-        level buckets from the lowest reachable level, -refund[0], up to
-        drop, from one walk over the whole range rather than one per level."""
-        levels = self._walk_levels(-self._refund[0], drop)
-        return [mono for buckets in levels.values() for monos in buckets.values() for mono in monos]
-
     def _level(self, drop: int) -> dict:
         """{weight coefficients: monomials} at xi-drop exactly `drop`, walked once."""
         level = self._levels.get(drop)
         if level is None:
-            level = self._levels[drop] = self._walk_levels(drop, drop)[drop]
+            level = self._levels[drop] = self._walk_level(drop)
         return level
 
-    def _walk_levels(self, low: int, high: int) -> dict:
-        """{level: {weight coefficients: monomials}} for every xi-drop level
-        from low to high, each bucket in lexicographic exponent order.
+    def _walk_level(self, drop: int) -> dict:
+        """{weight coefficients: monomials} at xi-drop exactly `drop`, each
+        bucket in lexicographic exponent order.
 
         One depth-first walk over the slots in PBW order, odd exponents 0 or
-        1 and even ones up to what the budget of `high` allows.  It stops a
+        1 and even ones up to what the budget of `drop` allows.  It stops a
         branch once the odd slots still to come cannot refund the xi it has
-        overspent, and files a leaf under the level it reached.  Exponents
+        overspent, and keeps a leaf that spent the budget exactly.  Exponents
         rise slot by slot, so leaves arrive in lexicographic order."""
         ends, steps, refund, odd = self._ends, self._steps, self._refund, self.neg_parity
         last = len(steps)
         coeffs = list(self.lam.coeffs)
         mono = [0] * last
-        levels: dict = {level: {} for level in range(low, high + 1)}
+        buckets: dict = {}
 
         def walk(k, left):
             if left + refund[k] < 0:
                 return
             if k == last:
-                buckets = levels.get(high - left)
-                if buckets is not None:
+                if left == 0:
                     buckets.setdefault(tuple(coeffs), []).append(tuple(mono))
                 return
             step = steps[k]
@@ -267,11 +259,8 @@ class VermaModule:
             coeffs[i] += top + 1
             coeffs[j] -= top + 1
 
-        walk(0, high)
-        return {
-            level: {key: tuple(monos) for key, monos in buckets.items()}
-            for level, buckets in levels.items()
-        }
+        walk(0, drop)
+        return {key: tuple(monos) for key, monos in buckets.items()}
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
         """elem over nu's weight-space basis; a term of another weight is a ConsistencyError."""

@@ -69,6 +69,8 @@ def test_criterion_02_euler_identity():
         (P(2, 2), ([9, 1], [2, 8]), 6),  # typical
         (P(4, 5), ([40, 30, 20, 10], [0, 10, 20, 30, 40]), 4),  # 2^20 odd subsets
         (P(5, 5), ([40, 30, 20, 10, 0], [0, 10, 20, 30, 40]), 4),  # 2^25 odd subsets
+        # tight: |W| = 518,400, of which the depth-8 window holds 11
+        (P(6, 6), ([77, 70, 63, 56, 49, 42], [0, 7, 14, 21, 28, 35]), 8),
     ]
     for p, (eps, delta), depth in cases:
         start = time.perf_counter()

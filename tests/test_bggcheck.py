@@ -1,5 +1,6 @@
 import pytest
 
+from superchar import bggcheck
 from superchar.bggcheck import (
     complex_shape,
     euler_check,
@@ -9,6 +10,7 @@ from superchar.bggcheck import (
     restriction_check,
     small_rank_exactness,
 )
+from superchar.charring import FormalChar, char_simple_td
 from superchar.rootdata import (
     RankProfile,
     atypicality,
@@ -52,6 +54,28 @@ def test_euler_rejects_bad_inputs():
     p22 = P(2, 2)
     with pytest.raises(ValueError):
         euler_check(weight_from_coords(p22, [7, 2], [7, 2]), 4)  # not dominant
+    # singular: its window is the whole stabilizer of lam+rho, all of gl(6|6)'s W,
+    # so genericity is refused before the window is walked
+    with pytest.raises(ValueError, match="not g_-1-generic"):
+        euler_check(weight_from_coords(P(6, 6), [5] * 6, [5] * 6), 8)
+
+
+def test_euler_discrepancy_only_on_inequality(monkeypatch):
+    lam = weight_from_coords(P(2, 1), [3, 0], [3])
+    calls = []
+    first_discrepancy = FormalChar.first_discrepancy
+
+    def counted(self, other):
+        calls.append(other)
+        return first_discrepancy(self, other)
+
+    monkeypatch.setattr(FormalChar, "first_discrepancy", counted)
+    assert euler_check(lam, 4).first_discrepancy is None and not calls
+    monkeypatch.setattr(bggcheck, "char_simple_td", lambda mu, d: char_simple_td(mu, d).scale(2))
+    report = euler_check(lam, 4)
+    assert not report.equal and len(calls) == 1
+    _, lhs, rhs = report.first_discrepancy
+    assert rhs == 2 * lhs != 0
 
 
 def test_euler_report_json():

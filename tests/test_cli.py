@@ -68,6 +68,17 @@ def test_euler_pass_exit_zero(capsys):
     assert "pass" in out
 
 
+def test_euler_walks_only_the_weyl_window(capsys):
+    # gl(6|6) has 518,400 Weyl elements, over the enumeration bound; the window is small
+    args = ["--m", "6", "--n", "6", "--coords", "77,70,63,56,49,42/0,7,14,21,28,35"]
+    code, out, err = run(capsys, ["euler", *args, "--depth", "4"])
+    assert (code, err) == (0, "") and "pass" in out
+    # a singular weight is refused as a precondition (exit 2) before its window is walked
+    singular = ["--m", "6", "--n", "6", "--coords", "5,5,5,5,5,5/5,5,5,5,5,5"]
+    code, _, err = run(capsys, ["euler", *singular, "--depth", "8"])
+    assert code == 2 and "not g_-1-generic" in err
+
+
 def test_euler_json_and_text_agree(capsys):
     args = ["euler", "--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "6"]
     code_text, out_text, _ = run(capsys, args)

@@ -19,7 +19,6 @@ from superchar.rootdata import (
     classify,
     decode,
     dot_action,
-    dot_action_usual,
     encode,
     even_positive_roots,
     identity_weyl,
@@ -36,6 +35,7 @@ from superchar.rootdata import (
     rho_vectors,
     weight_from_coords,
     weyl_group,
+    weyl_window,
     zero_weight,
 )
 from superchar.borels import antidistinguished, borel, distinguished, enumerate_borels
@@ -288,6 +288,7 @@ def test_dot_action_is_group_action():
 
 
 def test_three_dot_actions_coincide():
+    # the usual dot action w(lam + rho0) - rho0, with rho0 doubled to stay integral
     rng = random.Random(9)
     for m, n in [(1, 1), (2, 1), (2, 2), (3, 3)]:
         p = P(m, n)
@@ -295,7 +296,9 @@ def test_three_dot_actions_coincide():
         for _ in range(100 // len(group) + 2):
             lam = random_weight(rng, p)
             for w in group:
-                usual = dot_action_usual(w, lam)
+                doubled = w.act(2 * lam + rho0_doubled(p)) - rho0_doubled(p)
+                assert all(c % 2 == 0 for c in doubled.coeffs)
+                usual = Weight(p, tuple(c // 2 for c in doubled.coeffs))
                 assert dot_action(w, lam, distinguished(p)) == usual
                 assert dot_action(w, lam, antidistinguished(p)) == usual
 
@@ -475,6 +478,45 @@ def test_weyl_signs_multiplicative():
 def test_weyl_group_bound():
     with pytest.raises(EnumerationBound):
         weyl_group(P(4, 4), bound=10)
+
+
+@st.composite
+def dominant_weights(draw):
+    # small coordinate ranges make ties, so singular weights come up as well
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 5) for n in range(1, 5) if m + n >= 3]))
+    eps = sorted(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)), reverse=True)
+    delta = sorted(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    return weight_from_coords(P(m, n), eps, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights(), st.integers(0, 20))
+def test_weyl_window_is_the_filtered_group(lam, depth):
+    window = weyl_window(lam, depth)
+    images = [(w, dot_action(w, lam)) for w in weyl_group(lam.profile)]
+    assert set(window) == {(w, nu) for w, nu in images if nu.xi >= lam.xi - depth}
+    assert len(set(window)) == len(window)
+    assert window[0] == (identity_weyl(lam.profile), lam)
+    lengths = [w.length for w, _ in window]
+    assert lengths == sorted(lengths)
+
+
+def test_weyl_window_refusals():
+    p = P(2, 1)
+    with pytest.raises(ValueError, match="not dominant"):
+        weyl_window(weight_from_coords(p, [0, 3], [3]), 4)
+    assert weyl_window(weight_from_coords(p, [3, 0], [3]), -1) == []
+
+
+def test_weyl_window_bound(monkeypatch):
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    size = len(weyl_window(lam, 40))
+    assert 5 < size < 36
+    monkeypatch.setattr("superchar.rootdata.DEFAULT_WEYL_BOUND", size)
+    assert len(weyl_window(lam, 40)) == size
+    monkeypatch.setattr("superchar.rootdata.DEFAULT_WEYL_BOUND", size - 1)
+    with pytest.raises(EnumerationBound):
+        weyl_window(lam, 40)
 
 
 # -- load-bearing checks -------------------------------------------------------

@@ -178,6 +178,13 @@ def box_oracle(module, drop):
         yield mono, tuple(coeffs), sum(e * s for e, s in zip(mono, steps))
 
 
+def window_monomials(module, drop):
+    """Every monomial whose xi-drop is at most `drop`, read level by level
+    from the lowest reachable one."""
+    levels = range(-module._refund[0], drop + 1)
+    return [mono for d in levels for monos in module._level(d).values() for mono in monos]
+
+
 @st.composite
 def borel_weights(draw):
     p = draw(st.sampled_from([P(1, 1), P(2, 1), P(1, 2), P(2, 2), P(3, 1), P(1, 3)]))
@@ -208,7 +215,7 @@ def test_window_monomials_match_oracle(case, depth):
     module = antidistinguished_module(lam)
     drop = depth + rho1_doubled_distinguished(lam.profile).xi
     expected = sorted(mono for mono, _, d in box_oracle(module, drop) if d <= drop)
-    assert sorted(module._monomials(drop)) == expected
+    assert sorted(window_monomials(module, drop)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +306,7 @@ def test_act_basis_moves_weight_by_the_root(case, drop):
     # the closure trusts this: an image's weight is its monomial's plus eps_i - eps_j
     b, lam = case
     module = VermaModule(b, lam)
-    for mono in module._monomials(drop):
+    for mono in window_monomials(module, drop):
         coeffs = module.mono_weight(mono).coeffs
         for i, j in all_pairs(lam.profile):
             moved = list(coeffs)
@@ -570,22 +577,21 @@ def test_weight_spaces_walk_once_per_level(monkeypatch):
     # weight spaces, and the distinguished source, for the PBW monomials
     # whose images span the submodule; each walks each level once
     walks: dict = {}
-    walk_levels = VermaModule._walk_levels
+    walk_level = VermaModule._walk_level
 
-    def counted(module, low, high):
-        walks.setdefault(module.borel, []).append(range(low, high + 1))
-        return walk_levels(module, low, high)
+    def counted(module, drop):
+        walks.setdefault(module.borel, []).append(drop)
+        return walk_level(module, drop)
 
-    monkeypatch.setattr(VermaModule, "_walk_levels", counted)
+    monkeypatch.setattr(VermaModule, "_walk_level", counted)
     p = P(3, 3)
     lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
     ranks = narrow_image_dims(lam, 4)
     assert len(ranks) == 126
     assert set(walks) == {antidistinguished(p), distinguished(p)}
     for levels in walks.values():
-        assert all(len(level) == 1 for level in levels)
         assert len({nu.xi for nu in ranks}) == len(levels) == len(set(levels)) == 5
-    assert walks[distinguished(p)] == [range(drop, drop + 1) for drop in range(5)]
+    assert walks[distinguished(p)] == list(range(5))
 
 
 def test_cell_bound_fires_before_straightening(monkeypatch):
