@@ -43,7 +43,6 @@ from .rootdata import (
     rho_b,
     weight_from_blocks,
     weight_from_coords,
-    weyl_group,
     weyl_window,
 )
 from .vermacalc import (
@@ -111,9 +110,7 @@ class ComplexShape:
 
 def complex_shape(profile: RankProfile) -> ComplexShape:
     """Number of Weyl elements per length: the widths of the narrow complex."""
-    lengths = [w.length for w in weyl_group(profile)]
-    top = max(lengths)
-    return ComplexShape(tuple(lengths.count(k) for k in range(top + 1)))
+    return ComplexShape(length_generating_polynomial(profile))
 
 
 def length_generating_polynomial(profile: RankProfile) -> tuple[int, ...]:
@@ -272,8 +269,7 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
     image = submodule_weight_ranks(module, [embedded], lam, depth)
 
     s_lam = dot_action(s, lam)
-    sub_depth = depth - (lam.xi - s_lam.xi)
-    small = narrow_image_dims(s_lam, sub_depth) if sub_depth >= 0 else {}
+    small = narrow_image_dims(s_lam, depth - (lam.xi - s_lam.xi))
 
     injective = True
     cokernel = True

@@ -241,11 +241,13 @@ def convert(b: BorelElt) -> BorelViews:
     return BorelViews(b.partition, _seq(b), _shuffle(b), tuple(path))
 
 
-def enumerate_borels(profile: RankProfile, bound: int = DEFAULT_BOREL_BOUND) -> list[BorelElt]:
+def enumerate_borels(profile: RankProfile) -> list[BorelElt]:
     """All binomial(m+n, m) Borels, ordered by (box count, partition)."""
     count = math.comb(profile.dim, profile.m)
-    if count > bound:
-        raise EnumerationBound(f"|L({profile.m},{profile.n})| = {count} exceeds bound {bound}")
+    if count > DEFAULT_BOREL_BOUND:
+        raise EnumerationBound(
+            f"|L({profile.m},{profile.n})| = {count} exceeds bound {DEFAULT_BOREL_BOUND}"
+        )
     parts_list = _box_partitions(profile.m, profile.n)
     return sorted(
         (borel(profile, p) for p in parts_list),
@@ -299,10 +301,10 @@ class OddReflectionEdge:
     alpha: Root
 
 
-def borel_graph(profile: RankProfile, bound: int = DEFAULT_BOREL_BOUND) -> list[OddReflectionEdge]:
+def borel_graph(profile: RankProfile) -> list[OddReflectionEdge]:
     """Box-adding odd reflections between all Borels of the profile."""
     edges = []
-    for b in enumerate_borels(profile, bound):
+    for b in enumerate_borels(profile):
         for alpha in b.simple_roots():
             if alpha.is_odd and alpha.i <= profile.m:  # eps-to-delta: adds a box
                 target = odd_reflection(b, alpha)

@@ -179,9 +179,11 @@ class FormalChar:
         return _Coeffs(self.profile, self._levels)
 
     def coeff(self, w: Weight) -> int:
+        if w.profile != self.profile:
+            raise ProfileMismatch(f"profile mismatch: {self.profile} vs {w.profile}")
         if w.xi < self.floor:
             raise DepthError(f"{w} lies below the valid cutoff of this series")
-        return self.coeffs.get(w, 0)
+        return self._levels.get(w.xi, {}).get(w.coeffs, 0)
 
     def _sorted_tuples(self):
         """(coefficient tuple, coeff) by descending level, then by tuple."""

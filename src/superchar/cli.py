@@ -93,23 +93,23 @@ def _add_common(sub, weight=True, borel=False, depth=None):
 def cmd_roots(args) -> int:
     p = _profile(args)
     b = _borel_from_args(args, p)
-    vectors = rootdata.rho_vectors(p, b)
+    rho, rho_b, ber = rootdata.rho(p), rootdata.rho_b(b), rootdata.ber(p)
     simples = [f"{r} ({r.parity})" for r in b.simple_roots()]
     obj = {
         "profile": [p.m, p.n],
         "borel": list(b.partition),
         "simple_roots": [[r.i, r.j] for r in b.simple_roots()],
         "odd_positive_count": len(b.odd_positive_roots()),
-        "rho": list(vectors.rho.coeffs),
-        "rho_b": list(vectors.rho_b.coeffs),
-        "ber": list(vectors.ber.coeffs),
-        "rho0_x2": list(vectors.rho0_x2.coeffs),
-        "rho1_b_x2": list(vectors.rho1_b_x2.coeffs),
+        "rho": list(rho.coeffs),
+        "rho_b": list(rho_b.coeffs),
+        "ber": list(ber.coeffs),
+        "rho0_x2": list(rootdata.rho0_doubled(p).coeffs),
+        "rho1_b_x2": list(rootdata.rho1_doubled(b).coeffs),
     }
     lines = [
         f"{p} {b} seq:{b.seq()}",
         f"simple roots: {', '.join(simples)}",
-        f"rho = {vectors.rho}, rho_b = {vectors.rho_b}, ber = {vectors.ber}",
+        f"rho = {rho}, rho_b = {rho_b}, ber = {ber}",
     ]
     _emit(args, lines, obj)
     return 0

@@ -117,12 +117,12 @@ def _ordering_pattern(values: tuple[int, ...]):
     return tuple(pattern)
 
 
-def _generic_brute(lam: Weight, bound: int) -> bool:
+def _generic_brute(lam: Weight) -> bool:
     p = lam.profile
     odd = odd_positive_roots(p)
-    if 1 << len(odd) > bound:
+    if 1 << len(odd) > DEFAULT_SUBSET_BOUND:
         raise EnumerationBound(
-            f"brute genericity needs 2^{len(odd)} subsets, over the bound {bound}"
+            f"brute genericity needs 2^{len(odd)} subsets, over the bound {DEFAULT_SUBSET_BOUND}"
         )
     c = encode(lam)
     base_eps = _ordering_pattern(c.eps_block)
@@ -154,18 +154,17 @@ def _generic_fast(lam: Weight) -> bool:
     return True
 
 
-def is_g1_generic(
-    lam: Weight, mode: str = "fast", bound: int = DEFAULT_SUBSET_BOUND
-) -> bool:
+def is_g1_generic(lam: Weight, mode: str = "fast") -> bool:
     """Whether all odd-subset shifts of lam stay in one open Weyl chamber.
 
-    mode "fast" uses the gap criterion; "brute" enumerates the subsets,
-    up to `bound` of them, as the oracle the gap criterion is tested by.
+    mode "fast" uses the gap criterion; "brute" enumerates the 2^{mn}
+    subsets, as the oracle the gap criterion is tested by, and raises
+    EnumerationBound when they number more than DEFAULT_SUBSET_BOUND.
     """
     if mode == "fast":
         return _generic_fast(lam)
     if mode == "brute":
-        return _generic_brute(lam, bound)
+        return _generic_brute(lam)
     raise ValueError(f"unknown mode {mode!r}")
 
 

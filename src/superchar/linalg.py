@@ -5,15 +5,14 @@ echelon form: every stored row is primitive (the gcd of its entries is
 1) with a positive pivot, and every other row is 0 in each pivot
 column.  A row is reduced by cross-multiplication, a*v - b*row with
 a/b the pivot ratio in lowest terms, and the gcd of the result is
-divided out, so no rational arithmetic is needed.  A row with rational
-entries has its denominators cleared once, when it comes in.  Ranks
-are read off directly, and the rank of a matrix is the rank of the
-basis its rows span.
+divided out, so no rational arithmetic is needed.  Ranks are read off
+directly, and the rank of a matrix is the rank of the basis its rows
+span.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 class RowBasis:
@@ -31,8 +30,7 @@ class RowBasis:
     def reduce(self, vec) -> list[int]:
         """A primitive integer multiple of the residual of vec modulo the
         current span; 0 in every pivot column."""
-        den = lcm(*(x.denominator for x in vec))
-        v = [int(x * den) for x in vec]
+        v = list(vec)
         if len(v) != self.width:
             raise ValueError("vector width mismatch")
         for row, p in zip(self.rows, self.pivots):

@@ -279,13 +279,13 @@ def identity_weyl(profile: RankProfile) -> WeylElt:
     return WeylElt(tuple(range(1, profile.m + 1)), tuple(range(1, profile.n + 1)))
 
 
-def weyl_group(profile: RankProfile, bound: int = DEFAULT_WEYL_BOUND) -> list[WeylElt]:
+def weyl_group(profile: RankProfile) -> list[WeylElt]:
     """All m!*n! elements, in lexicographic order of the image pairs."""
     import math
 
     size = math.factorial(profile.m) * math.factorial(profile.n)
-    if size > bound:
-        raise EnumerationBound(f"Weyl group of size {size} exceeds bound {bound}")
+    if size > DEFAULT_WEYL_BOUND:
+        raise EnumerationBound(f"Weyl group of size {size} exceeds bound {DEFAULT_WEYL_BOUND}")
     ids_m = range(1, profile.m + 1)
     ids_n = range(1, profile.n + 1)
     return [
@@ -370,29 +370,6 @@ def rho_b(borel) -> Weight:
     for beta in borel.flipped_odd_roots():
         total = total + beta.as_weight()
     return total
-
-
-@dataclass(frozen=True)
-class RhoVectors:
-    """Shift-vector bundle for one Borel; half-integral entries come doubled."""
-
-    rho: Weight
-    rho_b: Weight
-    ber: Weight
-    rho0_x2: Weight
-    rho1_b_x2: Weight
-
-
-def rho_vectors(profile: RankProfile, borel) -> RhoVectors:
-    if borel.profile != profile:
-        raise ProfileMismatch("Borel does not belong to the requested profile")
-    return RhoVectors(
-        rho=rho(profile),
-        rho_b=rho_b(borel),
-        ber=ber(profile),
-        rho0_x2=rho0_doubled(profile),
-        rho1_b_x2=rho1_doubled(borel),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -343,16 +343,6 @@ class VermaElement:
 # Public operations
 
 
-def weight_space_basis(borel: BorelElt, lam: Weight, nu: Weight, depth_cap: int | None = None):
-    """Monomials of M^b(lam) at weight nu; count equals the character coefficient."""
-    module = VermaModule(borel, lam)
-    if depth_cap is not None:
-        drop = lam.xi - nu.xi
-        if not 0 <= drop <= depth_cap:
-            raise ValueError(f"weight {nu} outside the depth cap {depth_cap}")
-    return module.weight_space_monomials(nu)
-
-
 def coroot_pairing(shifted: Weight, alpha: Root) -> int:
     """<mu, alpha^vee> = 2 (mu, alpha) / (alpha, alpha) for an even root."""
     if alpha.is_odd:
@@ -362,7 +352,7 @@ def coroot_pairing(shifted: Weight, alpha: Root) -> int:
     return 2 * value // norm
 
 
-def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root, module: VermaModule | None = None) -> VermaElement:
+def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root) -> VermaElement:
     """E_{-alpha}^k v for k = <lam + rho^b, alpha^vee>, a positive integer.
 
     The result is checked, not trusted: every simple raising generator of
@@ -373,8 +363,7 @@ def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root, module: Verm
     k = coroot_pairing(lam + rho_b(borel), alpha)
     if k <= 0:
         raise ValueError(f"coroot pairing is {k}, not a positive integer")
-    if module is None:
-        module = VermaModule(borel, lam)
+    module = VermaModule(borel, lam)
     vec = module.lowered(alpha, k)
     for simple in borel.simple_roots():
         image = module.apply((simple.i, simple.j), vec)
@@ -391,15 +380,13 @@ def primitive_space_dim(
     ambient_weight: Weight,
     target_weight: Weight,
     annihilating_borel: BorelElt | None = None,
-    module: VermaModule | None = None,
 ) -> int:
     """Dimension of the vectors at target_weight killed by a Borel's raisers.
 
     Equals the dimension of homomorphisms from the Verma at target_weight
     (for the annihilating Borel) into the ambient Verma module.
     """
-    if module is None:
-        module = VermaModule(ambient_borel, ambient_weight)
+    module = VermaModule(ambient_borel, ambient_weight)
     if annihilating_borel is None:
         annihilating_borel = ambient_borel
     monos = module.weight_space_monomials(target_weight)
@@ -480,17 +467,11 @@ def max_cells_from_env() -> int:
     return value
 
 
-def _check_cells(cells: int, max_cells: int) -> None:
-    if cells > max_cells:
-        raise EnumerationBound(
-            f"window holds more than {max_cells} basis cells; "
-            "raise SUPERCHAR_MAX_CELLS to proceed"
-        )
-
-
 def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
     """Weights top - (nonnegative span of the distinguished positive roots)
-    within the xi-window, sorted shallow to deep."""
+    within the xi-window, sorted shallow to deep; none for a negative depth."""
+    if depth < 0:
+        return []
     p = top.profile
     roots = [r.as_weight() for r in even_positive_roots(p) + odd_positive_roots(p)]
     steps = [r.xi for r in roots]
@@ -511,17 +492,14 @@ def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
 
 
 def submodule_weight_ranks(
-    module: VermaModule,
-    seeds,
-    top: Weight,
-    depth: int,
-    max_cells: int | None = None,
+    module: VermaModule, seeds, top: Weight, depth: int
 ) -> dict[Weight, int]:
     """Per-weight dimensions of the submodule generated by the seeds,
     restricted to the xi-window below `top`.
 
-    The window's cell count is checked against the bound before the seeds,
-    any iterable of elements, are drawn.
+    Before the seeds, any iterable of elements, are drawn, the window's
+    cell count is checked against the bound that `max_cells_from_env`
+    reads from SUPERCHAR_MAX_CELLS on every call.
 
     Every seed must be singular for the distinguished Borel: each of its
     simple raisers kills the seed, or ConsistencyError is raised.  Those
@@ -537,12 +515,16 @@ def submodule_weight_ranks(
     """
     p = module.profile
     floor = top.xi - depth
-    max_cells = max_cells_from_env() if max_cells is None else max_cells
+    max_cells = max_cells_from_env()
     candidates = cone_weights_below(top, depth)
     total_cells = 0
     for nu in candidates:
         total_cells += len(module.weight_space_monomials(nu))
-        _check_cells(total_cells, max_cells)
+        if total_cells > max_cells:
+            raise EnumerationBound(
+                f"window holds more than {max_cells} basis cells; "
+                "raise SUPERCHAR_MAX_CELLS to proceed"
+            )
     dist = distinguished(p)
     raisers = [(r.i, r.j) for r in dist.simple_roots()]
     bases: dict[Weight, RowBasis] = {}
@@ -583,13 +565,13 @@ def submodule_weight_ranks(
     return {nu: bases[nu].rank if nu in bases else 0 for nu in candidates}
 
 
-def narrow_image_dims(lam: Weight, depth: int, max_cells: int | None = None) -> dict[Weight, int]:
+def narrow_image_dims(lam: Weight, depth: int) -> dict[Weight, int]:
     """Weight-space dimensions of the submodule generated by the odd product
     vector inside the anti-distinguished Verma module, on the window below lam."""
     module = antidistinguished_module(lam)
     # a lazy seed: the window's cell bound is checked before it is built
     seeds = map(e_g1_apply, [lam], [module])
-    return submodule_weight_ranks(module, seeds, lam, depth, max_cells)
+    return submodule_weight_ranks(module, seeds, lam, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from superchar.bggcheck import (
     euler_check,
     character_shift_sweep,
     image_check,
-    length_generating_polynomial,
     restriction_check,
     small_rank_exactness,
 )
@@ -15,6 +14,7 @@ from superchar.rootdata import (
     RankProfile,
     atypicality,
     weight_from_coords,
+    weyl_group,
 )
 
 
@@ -88,11 +88,14 @@ def test_euler_report_json():
 def test_complex_shape():
     shape = complex_shape(P(2, 2))
     assert shape.ranks_by_degree == (1, 2, 1)
-    assert sum(shape.ranks_by_degree) == 4
-    for m, n in [(2, 1), (2, 2), (3, 2)]:
+    for m, n in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)]:
+        lengths = [w.length for w in weyl_group(P(m, n))]
         shape = complex_shape(P(m, n))
-        assert shape.ranks_by_degree == length_generating_polynomial(P(m, n))
+        assert shape.ranks_by_degree == tuple(lengths.count(k) for k in range(max(lengths) + 1))
         assert shape.ranks_by_degree == shape.ranks_by_degree[::-1]
+    # closed form: gl(6|6) is past the Weyl-group enumeration bound
+    widths = complex_shape(P(6, 6)).ranks_by_degree
+    assert sum(widths) == 518_400 and len(widths) == 31
 
 
 def test_character_shift_sweep_pass_and_mismatches():

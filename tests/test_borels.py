@@ -41,9 +41,13 @@ def test_enumeration_counts():
             assert antidistinguished(P(m, n)) in items
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
+    monkeypatch.setattr("superchar.borels.DEFAULT_BOREL_BOUND", 10)
+    with pytest.raises(EnumerationBound, match=r"^\|L\(5,5\)\| = 252 exceeds bound 10$"):
+        enumerate_borels(P(5, 5))
     with pytest.raises(EnumerationBound):
-        enumerate_borels(P(5, 5), bound=10)
+        borel_graph(P(5, 5))
+    assert len(enumerate_borels(P(2, 1))) == 3
 
 
 def test_partition_validation():

@@ -23,6 +23,7 @@ from superchar.charring import (
     monomial,
 )
 from superchar.rootdata import (
+    ProfileMismatch,
     RankProfile,
     Root,
     Weight,
@@ -235,6 +236,16 @@ def test_coeff_query_below_floor_raises():
     deep = lam - 5 * Root(p, 1, 2).as_weight()
     with pytest.raises(DepthError):
         f.coeff(deep)
+
+
+def test_coeff_query_of_another_profile_raises():
+    # gl(2|1) and gl(1|2) weights have the same length, so only the check tells them apart
+    p = P(2, 1)
+    lam = weight_from_blocks(p, [1, 0], [0])
+    f = char_verma(distinguished(p), lam, 2)
+    assert f.coeff(lam) == 1
+    with pytest.raises(ProfileMismatch):
+        f.coeff(weight_from_blocks(P(1, 2), [1], [0, 0]))
 
 
 def test_retruncate_refuses_deeper():
@@ -495,8 +506,6 @@ def test_restriction_decomposition_other_borel():
 def test_char_simple_td_against_word_rank_oracle():
     # independent route: dim L(lam)_nu = rank of the raising-word functionals
     # M_nu -> M_lam, with no character formula involved
-    from fractions import Fraction
-
     from superchar.vermacalc import VermaModule, cone_weights_below
     from superchar.linalg import matrix_rank
 
@@ -538,7 +547,7 @@ def test_char_simple_td_against_word_rank_oracle():
                 row = []
                 for mono in monos:
                     out = module.apply_word(word, module.element({mono: 1}))
-                    row.append(out.terms.get(module.zero_mono, Fraction(0)))
+                    row.append(out.terms.get(module.zero_mono, 0))
                 rows.append(row)
             rank = matrix_rank(rows) if rows else len(monos)
             assert rank == chart.coeff(nu), (nu, rank, chart.coeff(nu))

@@ -17,6 +17,8 @@ GOLDEN_COMMANDS = {
     "euler": "euler --m 2 --n 2 --coords 7,2/2,7 --depth 6",
     "image_21": "image --m 2 --n 1 --coords 3,0/3 --depth 3",
     "image_22": "image --m 2 --n 2 --coords 7,2/2,7 --depth 2",
+    "roots_21": "roots --m 2 --n 1 --borel 1",
+    "roots_32": "roots --m 3 --n 2 --borel 2,1",
     "sweep": "sweep --m 2 --n 2 --trials 2 --depth 4 --seed 3",
     "suite": "suite",
 }
@@ -139,13 +141,21 @@ def test_diagram_and_atyp_and_generic(capsys):
 
 
 def test_roots_command(capsys):
-    code, out, _ = run(
-        capsys, ["roots", "--m", "2", "--n", "1", "--borel", "1", "--format", "json"]
-    )
+    # the JSON bytes of the same commands are goldens
+    code, out, _ = run(capsys, GOLDEN_COMMANDS["roots_21"].split())
     assert code == 0
-    obj = json.loads(out)
-    assert obj["rho"] == [0, -1, 1]
-    assert obj["rho_b"] == [0, 0, 0]
+    assert out == (
+        "gl(2|1) partition:[1] seq:εδε\n"
+        "simple roots: e1-d1 (odd), d1-e2 (odd)\n"
+        "rho = (0,-1|1), rho_b = (0,0|0), ber = (1,1|-1)\n"
+    )
+    code, out, _ = run(capsys, GOLDEN_COMMANDS["roots_32"].split())
+    assert code == 0
+    assert out == (
+        "gl(3|2) partition:[2,1] seq:εδεδε\n"
+        "simple roots: e1-d1 (odd), d1-e2 (odd), e2-d2 (odd), d2-e3 (odd)\n"
+        "rho = (0,-1,-2|2,1), rho_b = (0,0,0|0,0), ber = (1,1,1|-1,-1)\n"
+    )
 
 
 def test_suite_runs(capsys):

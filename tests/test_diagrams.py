@@ -190,13 +190,17 @@ def test_weyl_orbit_of_generic_is_generic():
                     assert is_g1_generic(dot_action(w, lam), "brute")
 
 
-def test_generic_auto_mode_and_bound():
+def test_generic_auto_mode_and_bound(monkeypatch):
     from superchar.rootdata import EnumerationBound
 
     p = P(2, 2)
     lam = weight_from_coords(p, [9, 1], [2, 8])
     assert is_g1_generic(lam)  # the default mode is the gap criterion
-    with pytest.raises(EnumerationBound):
-        is_g1_generic(lam, "brute", bound=8)
+    monkeypatch.setattr("superchar.diagrams.DEFAULT_SUBSET_BOUND", 16)
+    assert is_g1_generic(lam, "brute")
+    monkeypatch.setattr("superchar.diagrams.DEFAULT_SUBSET_BOUND", 8)
+    with pytest.raises(EnumerationBound) as excinfo:
+        is_g1_generic(lam, "brute")
+    assert str(excinfo.value) == "brute genericity needs 2^4 subsets, over the bound 8"
     with pytest.raises(ValueError):
         is_g1_generic(lam, "off")

@@ -32,7 +32,6 @@ from superchar.rootdata import (
     rho1_doubled,
     rho1_doubled_distinguished,
     rho_b,
-    rho_vectors,
     weight_from_coords,
     weyl_group,
     weyl_window,
@@ -215,13 +214,13 @@ def test_rho1_antidistinguished_is_negated():
         assert rho1_doubled(antidistinguished(p)) == -rho1_doubled_distinguished(p)
 
 
-def test_rho_vectors_record():
+def test_shift_vectors_distinguished():
     p = P(2, 1)
-    vectors = rho_vectors(p, distinguished(p))
-    assert vectors.rho == rho(p)
-    assert vectors.rho_b == rho(p)
-    assert vectors.rho0_x2.coeffs == (1, -1, 0)
-    assert vectors.rho1_b_x2.coeffs == (1, 1, -2)
+    b0 = distinguished(p)
+    assert rho(p).coeffs == (0, -1, 1)
+    assert rho_b(b0) == rho(p)
+    assert rho0_doubled(p).coeffs == (1, -1, 0)
+    assert rho1_doubled(b0).coeffs == (1, 1, -2)
 
 
 # -- coordinates -------------------------------------------------------------
@@ -475,9 +474,13 @@ def test_weyl_signs_multiplicative():
             assert (w1 * w2).sign == w1.sign * w2.sign
 
 
-def test_weyl_group_bound():
-    with pytest.raises(EnumerationBound):
-        weyl_group(P(4, 4), bound=10)
+def test_weyl_group_bound(monkeypatch):
+    with pytest.raises(EnumerationBound, match="^Weyl group of size 518400 exceeds bound 40320$"):
+        weyl_group(P(6, 6))
+    monkeypatch.setattr("superchar.rootdata.DEFAULT_WEYL_BOUND", 10)
+    with pytest.raises(EnumerationBound, match="^Weyl group of size 576 exceeds bound 10$"):
+        weyl_group(P(4, 4))
+    assert len(weyl_group(P(2, 2))) == 4
 
 
 @st.composite
