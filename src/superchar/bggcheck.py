@@ -21,11 +21,11 @@ from . import diagrams
 from .borels import borel_graph, enumerate_borels
 from .charring import (
     FormalChar,
+    _simple_td_sides,
     char_narrow,
     char_simple_td,
     char_verma,
     even_verma_sum,
-    zero_char,
 )
 from .rootdata import (
     ConsistencyError,
@@ -43,7 +43,6 @@ from .rootdata import (
     rho_b,
     weight_from_blocks,
     weight_from_coords,
-    weyl_window,
 )
 from .vermacalc import (
     VermaModule,
@@ -54,6 +53,8 @@ from .vermacalc import (
     submodule_weight_ranks,
     _odd_product_pairs,
 )
+
+SWEEP_MISMATCHES = 10
 
 EULER_SCOPE_NOTE = (
     "full exactness is certified only at Euler-characteristic level for Weyl "
@@ -70,6 +71,9 @@ def _report_obj(check: str, lam: Weight, depth: int, passed: bool, details: dict
 
 @dataclass
 class EulerReport:
+    """lhs is the Euler characteristic of the narrow resolution, rhs the
+    closed prefactor form of the simple character."""
+
     lam: Weight
     depth: int
     lhs: FormalChar
@@ -91,30 +95,18 @@ class EulerReport:
 
 
 def euler_check(lam: Weight, depth: int) -> EulerReport:
-    """Alternating narrow-character sum against the closed simple character."""
+    """The Euler characteristic of the narrow resolution (lhs) against the
+    closed prefactor form of the simple character (rhs)."""
     if not diagrams.is_g1_generic(lam):
         raise ValueError(f"{lam} is not g_-1-generic")
-    floor = lam.xi - depth
-    lhs = zero_char(lam.profile, lam, depth)
-    for w, nu in weyl_window(lam, depth):  # refuses a non-dominant lam
-        lhs = lhs + char_narrow(nu, nu.xi - floor, warn=False).scale(w.sign)
-    rhs = char_simple_td(lam, depth)
+    lhs, rhs = _simple_td_sides(lam, depth)
     equal = lhs.equals(rhs)
     return EulerReport(lam, depth, lhs, rhs, equal, None if equal else lhs.first_discrepancy(rhs))
 
 
-@dataclass(frozen=True)
-class ComplexShape:
-    ranks_by_degree: tuple[int, ...]
-
-
-def complex_shape(profile: RankProfile) -> ComplexShape:
-    """Number of Weyl elements per length: the widths of the narrow complex."""
-    return ComplexShape(length_generating_polynomial(profile))
-
-
-def length_generating_polynomial(profile: RankProfile) -> tuple[int, ...]:
-    """Product of the two factorial-type length generating functions."""
+def complex_shape(profile: RankProfile) -> tuple[int, ...]:
+    """Number of Weyl elements per length, the widths of the narrow complex:
+    the product of the two factorial-type length generating functions."""
 
     def poly_for(k: int) -> list[int]:
         out = [1]
@@ -167,10 +159,10 @@ def character_shift_sweep(
     trials: int = 5,
     depth: int = 6,
     seed: int = 0,
-    mismatches: int = 10,
 ) -> SweepReport:
     """Verma characters shifted by their own rho-vector agree for every
-    ordered pair of Borels; deliberately mis-shifted pairs must differ."""
+    ordered pair of Borels; SWEEP_MISMATCHES deliberately mis-shifted pairs
+    must differ."""
     rng = random.Random(seed)
     borels = enumerate_borels(profile)
 
@@ -200,7 +192,7 @@ def character_shift_sweep(
     detected = 0
     tried = 0
     shift = basis_weight(profile, 1)
-    while tried < mismatches:
+    while tried < SWEEP_MISMATCHES:
         lam = random_weight()
         b, b2 = rng.choice(borels), rng.choice(borels)
         tried += 1
@@ -208,7 +200,7 @@ def character_shift_sweep(
         c = char_verma(b2, lam + shift - rho_b(b2), depth)
         if not a.equals(c):
             detected += 1
-    if detected != mismatches:
+    if detected != SWEEP_MISMATCHES:
         passed = False
     return SweepReport(profile, pairs, equal_ok, coeff_ok, tried, detected, passed)
 

@@ -313,6 +313,5 @@ def borel_graph(profile: RankProfile) -> list[OddReflectionEdge]:
     return edges
 
 
-def render(b: BorelElt, ascii_only: bool = False) -> str:
-    s = b.seq_ascii() if ascii_only else b.seq()
-    return f"{b} seq:{s}"
+def render(b: BorelElt) -> str:
+    return f"{b} seq:{b.seq()}"

@@ -37,7 +37,6 @@ from .rootdata import (
     RankProfile,
     Root,
     Weight,
-    WeylElt,
     atypicality,
     classify,
     even_positive_roots,
@@ -478,14 +477,6 @@ def char_kac(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     return _units(char_even_simple(mu, depth), odd_positive_roots(mu.profile))
 
 
-def _narrow(nu: Weight, floor: int, gamma) -> FormalChar:
-    """e^nu * prod over the odd positives outside gamma (1+e^{-beta})
-    / prod (1-e^{-gamma}), valid down to the absolute xi-level `floor`."""
-    p = nu.profile
-    odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
-    return _units(_floored(nu, floor), odd, even_positive_roots(p))
-
-
 def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> FormalChar:
     """Verma character with the atypical odd unit factors divided out.
 
@@ -501,7 +492,8 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
         )
     gamma = atypicality(lam).gamma
     quotient = _units(char_verma(_dist(p), lam, depth), atypical=_by_index(gamma))
-    product = _narrow(lam, lam.xi - depth, gamma)
+    odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
+    product = _units(monomial(lam, depth), odd, even_positive_roots(p))
     if not quotient.equals(product):
         raise ConsistencyError("narrow character: quotient and product forms disagree")
     return product
@@ -514,15 +506,18 @@ def _dist(profile: RankProfile):
     return distinguished(profile)
 
 
-def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
-    """Finite Weyl-type character of the simple module at a totally
-    disconnected regular dominant weight.
+def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
+    """(narrow, closed): the two sides of the Weyl-type simple character at
+    a totally disconnected regular dominant lam, on the window below lam.
 
-    Each Weyl summand divides out its own atypical set w(Gamma), which is
-    the atypical set of w.lam; a Weyl-independent denominator fails
-    against the exact rank computations of the narrow submodules.  Three
-    independent arrangements of the formula are evaluated and must agree
-    exactly; any mismatch is a convention bug, not a math failure.
+    narrow is the Euler characteristic of the narrow resolution,
+    sum over w of sign(w) ch N(w.lam), each summand `char_narrow` with its
+    own quotient/product cross-check.  closed is the prefactor form
+    ch M(0) * sum over w of sign(w) e^{w.lam} / prod over Gamma(w.lam)
+    (1+e^{-beta}).  Gamma(w.lam) = w(Gamma(lam)), as W only permutes the
+    odd roots; a Weyl-independent denominator fails against the exact rank
+    computations of the narrow submodules.  The top-weight normalization
+    and the nonnegativity of narrow are checked here.
     """
     p = lam.profile
     flags = classify(lam)
@@ -530,39 +525,31 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         raise ValueError(f"{lam} must be regular dominant")
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
-    gamma = _by_index(atypicality(lam).gamma)
-    GammaSet(frozenset(gamma))
+    gamma_set(lam)  # raises unless the atypical roots are pairwise orthogonal
     floor = lam.xi - depth
-    odd, even = odd_positive_roots(p), even_positive_roots(p)
-
-    def moved_gamma(w: WeylElt):
-        moved = []
-        for beta in gamma:
-            image = w.act(beta.as_weight())
-            i = next(k + 1 for k, c in enumerate(image.coeffs) if c == 1)
-            j = next(k + 1 for k, c in enumerate(image.coeffs) if c == -1)
-            moved.append(Root(p, i, j))
-        return _by_index(moved)
-
-    # (a) prefactor times the alternating sum of e^{w.lam} / w(gamma) factors
-    # (b) the same sum with the non-atypical odd product inside
-    # (c) alternating Verma characters divided by the moved gamma factors
-    inner = expr_b = expr_c = zero_char(p, lam, depth)
+    narrow = inner = zero_char(p, lam, depth)
     for w, nu in weyl_window(lam, depth):
-        moved = moved_gamma(w)
-        top = _floored(nu, floor)
-        inner = inner + _units(top, atypical=moved).scale(w.sign)
-        expr_b = expr_b + _narrow(nu, floor, moved).scale(w.sign)
-        expr_c = expr_c + _units(top, odd, even, moved).scale(w.sign)
-    expr_a = char_verma(_dist(p), zero_weight(p), depth).mul(inner)
-
-    if not (expr_a.equals(expr_b) and expr_b.equals(expr_c)):
-        raise ConsistencyError("simple-character expressions disagree")
-    if expr_b.coeff(lam) != 1:
+        gamma = _by_index(atypicality(nu).gamma)
+        narrow = narrow + char_narrow(nu, nu.xi - floor, warn=False).scale(w.sign)
+        inner = inner + _units(_floored(nu, floor), atypical=gamma).scale(w.sign)
+    closed = char_verma(_dist(p), zero_weight(p), depth).mul(inner)
+    if narrow.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")
-    if any(v < 0 for v in expr_b.coeffs.values()):
+    if any(v < 0 for v in narrow.coeffs.values()):
         raise ConsistencyError("simple character has a negative coefficient")
-    return expr_b
+    return narrow, closed
+
+
+def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
+    """Finite Weyl-type character of the simple module at a totally
+    disconnected regular dominant weight: the Euler characteristic of the
+    narrow resolution, which must equal the closed prefactor form exactly.
+    A mismatch is a convention bug, not a math failure.
+    """
+    narrow, closed = _simple_td_sides(lam, depth)
+    if not narrow.equals(closed):
+        raise ConsistencyError("simple-character expressions disagree")
+    return narrow
 
 
 def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):

@@ -171,13 +171,13 @@ def is_g1_generic(lam: Weight, mode: str = "fast") -> bool:
 _ASCII = {CROSS: "x", CIRCLE: "o", VEE: "v", WEDGE: "^"}
 
 
-def render_ascii(d: WeightDiagram, lo: int | None = None, hi: int | None = None) -> str:
-    """One character per integer over [lo, hi]; wedges fill the gaps."""
-    if not d.entries and lo is None:
+def render_ascii(d: WeightDiagram) -> str:
+    """One character per integer from one below the lowest entry to one
+    above the highest; wedges fill the gaps."""
+    if not d.entries:
         return "(empty diagram)"
     positions = [p for p, _ in d.entries]
-    lo = min(positions) - 1 if lo is None else lo
-    hi = max(positions) + 1 if hi is None else hi
+    lo, hi = min(positions) - 1, max(positions) + 1
     line = "".join(_ASCII[d.label(q)] for q in range(lo, hi + 1))
     return f"{lo}: {line} :{hi}"
 

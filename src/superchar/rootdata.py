@@ -551,9 +551,12 @@ class Atypicality:
 def atypicality(lam: Weight, borel=None) -> Atypicality:
     """Maximal number of mutually orthogonal odd roots vanishing on lam+rho^b.
 
-    `aty` is computed against the given Borel (distinguished when None) and
-    is independent of that choice; `gamma` is always the distinguished-Borel
-    atypical set {beta odd positive : (lam + rho, beta) = 0}.
+    `aty` is the atypicality of lam + rho^b for the given Borel b
+    (distinguished when None), that is, of the b-highest weight lam.  For
+    one fixed lam it depends on b; it agrees across Borels only for the
+    transported highest weights of one simple module.  `gamma` is always
+    the distinguished-Borel atypical set {beta odd positive :
+    (lam + rho, beta) = 0}.
     """
     p = lam.profile
     shift = rho(p) if borel is None else rho_b(borel)

@@ -9,7 +9,7 @@ from superchar.bggcheck import (
     restriction_check,
     small_rank_exactness,
 )
-from superchar.charring import FormalChar, char_simple_td
+from superchar.charring import FormalChar
 from superchar.rootdata import (
     RankProfile,
     atypicality,
@@ -71,7 +71,13 @@ def test_euler_discrepancy_only_on_inequality(monkeypatch):
 
     monkeypatch.setattr(FormalChar, "first_discrepancy", counted)
     assert euler_check(lam, 4).first_discrepancy is None and not calls
-    monkeypatch.setattr(bggcheck, "char_simple_td", lambda mu, d: char_simple_td(mu, d).scale(2))
+    sides = bggcheck._simple_td_sides
+
+    def doubled(mu, d):
+        narrow, closed = sides(mu, d)
+        return narrow, closed.scale(2)
+
+    monkeypatch.setattr(bggcheck, "_simple_td_sides", doubled)
     report = euler_check(lam, 4)
     assert not report.equal and len(calls) == 1
     _, lhs, rhs = report.first_discrepancy
@@ -86,24 +92,25 @@ def test_euler_report_json():
 
 
 def test_complex_shape():
-    shape = complex_shape(P(2, 2))
-    assert shape.ranks_by_degree == (1, 2, 1)
+    assert complex_shape(P(2, 2)) == (1, 2, 1)
     for m, n in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)]:
         lengths = [w.length for w in weyl_group(P(m, n))]
         shape = complex_shape(P(m, n))
-        assert shape.ranks_by_degree == tuple(lengths.count(k) for k in range(max(lengths) + 1))
-        assert shape.ranks_by_degree == shape.ranks_by_degree[::-1]
+        assert shape == tuple(lengths.count(k) for k in range(max(lengths) + 1))
+        assert shape == shape[::-1]
     # closed form: gl(6|6) is past the Weyl-group enumeration bound
-    widths = complex_shape(P(6, 6)).ranks_by_degree
+    widths = complex_shape(P(6, 6))
     assert sum(widths) == 518_400 and len(widths) == 31
 
 
-def test_character_shift_sweep_pass_and_mismatches():
-    report = character_shift_sweep(P(2, 2), trials=2, depth=5, seed=0, mismatches=5)
+def test_character_shift_sweep_pass_and_mismatches(monkeypatch):
+    report = character_shift_sweep(P(2, 2), trials=2, depth=5, seed=0)
     assert report.passed
     assert report.pairs_checked == 36 * 2
-    assert report.mismatches_detected == 5
-    small = character_shift_sweep(P(1, 1), trials=2, depth=4, seed=1, mismatches=3)
+    assert report.mismatches_tried == report.mismatches_detected == 10
+    monkeypatch.setattr(bggcheck, "SWEEP_MISMATCHES", 3)
+    small = character_shift_sweep(P(1, 1), trials=2, depth=4, seed=1)
+    assert small.mismatches_tried == small.mismatches_detected == 3
     assert small.passed and small.pairs_checked == 8
 
 

@@ -253,4 +253,4 @@ def test_render():
     b = borel(P(2, 2), [2, 1])
     assert str(b) == "partition:[2,1]"
     assert b.seq_ascii() == "dede"
-    assert render(b, ascii_only=True) == "partition:[2,1] seq:dede"
+    assert render(b) == f"partition:[2,1] seq:{b.seq()}"

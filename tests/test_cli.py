@@ -248,6 +248,31 @@ def test_suite_verification_failure_exits_one(capsys, monkeypatch):
     assert code == 1 and "\nFAIL pbw_oracle: forced\n" in out and out.endswith("\nsuite: FAIL\n")
 
 
+def test_euler_failure_exits_one(capsys, monkeypatch):
+    """With the closed side perturbed, `euler` reports a verification
+    failure, while `char --type simple-td` meets an internal inconsistency."""
+    sides = charring._simple_td_sides
+
+    def doubled(lam, depth):
+        narrow, closed = sides(lam, depth)
+        return narrow, closed.scale(2)
+
+    monkeypatch.setattr(charring, "_simple_td_sides", doubled)
+    monkeypatch.setattr(bggcheck, "_simple_td_sides", doubled)
+    weight = ["--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "4"]
+    code, out, err = run(capsys, ["euler", *weight])
+    assert (code, err) == (1, "")
+    assert out.startswith("euler identity at depth 4: FAIL\n")
+    assert "\nfirst discrepancy at " in out
+    code, out, _ = run(capsys, ["euler", *weight, "--format", "json"])
+    obj = json.loads(out)
+    assert code == 1 and obj["pass"] is False
+    assert set(obj["details"]["first_discrepancy"]) == {"weight", "lhs", "rhs"}
+    code, out, err = run(capsys, ["char", "--type", "simple-td", *weight])
+    assert (code, out) == (4, "")
+    assert err == "error: simple-character expressions disagree\n"
+
+
 def test_consistency_error_exit_four(capsys, monkeypatch):
     def disagree(*args, **kwargs):
         raise charring.ConsistencyError("narrow character: quotient and product forms disagree")

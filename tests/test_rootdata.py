@@ -504,6 +504,28 @@ def test_weyl_window_is_the_filtered_group(lam, depth):
     assert lengths == sorted(lengths)
 
 
+@st.composite
+def regular_dominant_weights(draw):
+    # a narrow coordinate range makes eps and delta coordinates meet, so
+    # the atypical sets are mostly nonempty
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 4) for n in range(1, 4)]))
+    eps = sorted(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m, unique=True)), reverse=True)
+    delta = sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=True)))
+    return weight_from_coords(P(m, n), eps, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_dominant_weights())
+def test_atypical_set_moves_with_the_dot_action(lam):
+    """Gamma(w.lam) = w(Gamma(lam)): W only permutes the odd roots, so the
+    narrow summands of the Weyl sum divide out the moved atypical set."""
+    assert classify(lam).regular and classify(lam).dominant
+    gamma = [beta.as_weight() for beta in atypicality(lam).gamma]
+    for w in weyl_group(lam.profile):
+        moved = {beta.as_weight() for beta in atypicality(dot_action(w, lam)).gamma}
+        assert moved == {w.act(beta) for beta in gamma}
+
+
 def test_weyl_window_refusals():
     p = P(2, 1)
     with pytest.raises(ValueError, match="not dominant"):
