@@ -39,7 +39,6 @@ from .charring import (
     ConsistencyError,
     DepthError,
     FormalChar,
-    GammaSet,
     char_even_simple,
     char_kac,
     char_narrow,

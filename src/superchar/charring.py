@@ -26,7 +26,6 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Mapping, ValuesView
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
@@ -42,11 +41,9 @@ from .rootdata import (
     even_positive_roots,
     is_even_dominant,
     odd_positive_roots,
-    pairing,
     rho,
     rho_b,
     weyl_window,
-    zero_weight,
 )
 
 DEFAULT_DEPTH = 8
@@ -373,36 +370,8 @@ def zero_char(profile: RankProfile, top: Weight, depth: int) -> FormalChar:
     return FormalChar(profile, top, depth, {})
 
 
-def _floored(lam: Weight, floor: int) -> FormalChar:
-    """Monomial e^lam valid down to the absolute xi-level `floor`."""
-    depth = lam.xi - floor
-    if depth < 0:
-        raise DepthError(f"{lam} already lies below the requested floor")
-    return monomial(lam, depth)
-
-
 # ---------------------------------------------------------------------------
 # Closed character formulas
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """Atypical distinguished-positive odd roots; pairwise orthogonal."""
-
-    roots: frozenset[Root]
-
-    def __post_init__(self):
-        for a in self.roots:
-            for b in self.roots:
-                if a != b and pairing(a.as_weight(), b.as_weight()) != 0:
-                    raise ValueError(f"atypical roots {a} and {b} are not orthogonal")
-
-    def __len__(self):
-        return len(self.roots)
-
-
-def gamma_set(lam: Weight) -> GammaSet:
-    return GammaSet(atypicality(lam).gamma)
 
 
 def _units(f: FormalChar, odd=(), even=(), atypical=()) -> FormalChar:
@@ -435,11 +404,6 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     return _units(monomial(top, depth), odd_positive_roots(p), even_positive_roots(p))
 
 
-def char_even_verma(mu: Weight, depth: int) -> FormalChar:
-    """Verma character for the even subalgebra: e^mu / prod (1-e^{-gamma})."""
-    return _units(monomial(mu, depth), even=even_positive_roots(mu.profile))
-
-
 def _subset_shifts(lam: Weight, roots) -> Counter:
     """The multiset of weights lam - sum(S) over the subsets S of `roots`."""
     tally = Counter({lam: 1})
@@ -452,24 +416,24 @@ def _subset_shifts(lam: Weight, roots) -> Counter:
 
 def even_verma_sum(lam: Weight, roots, depth: int) -> FormalChar:
     """Sum over the subsets S of `roots` of the even Verma characters at
-    lam - sum(S), on the window below lam."""
-    floor = lam.xi - depth
-    total = zero_char(lam.profile, lam, depth)
-    for nu, count in _subset_shifts(lam, roots).items():
-        if nu.xi >= floor:
-            total = total + char_even_verma(nu, nu.xi - floor).scale(count)
-    return total
+    lam - sum(S), on the window below lam: the multiset of those weights
+    as one series of monomials, divided once by prod (1-e^{-gamma}).
+    With no roots it is the even Verma character e^lam / prod (1-e^{-gamma})."""
+    p, floor = lam.profile, lam.xi - depth
+    shifts = {nu: count for nu, count in _subset_shifts(lam, roots).items() if nu.xi >= floor}
+    return _units(FormalChar(p, lam, depth, shifts), even=even_positive_roots(p))
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
-    """Alternating Verma sum over W; `dot_action` is the usual one, as W fixes rho - rho0."""
+    """Weyl's formula for the even subalgebra: the alternating sum of
+    e^{w.mu} over the Weyl window, divided once by prod (1-e^{-gamma}).
+    `dot_action` is the usual one, as W fixes rho - rho0."""
     if not is_even_dominant(mu):
         raise ValueError(f"{mu} is not dominant for the even subalgebra")
-    floor = mu.xi - depth
-    total = zero_char(mu.profile, mu, depth)
+    signs = Counter()
     for w, nu in weyl_window(mu, depth):
-        total = total + char_even_verma(nu, nu.xi - floor).scale(w.sign)
-    return total
+        signs[nu] += w.sign
+    return _units(FormalChar(mu.profile, mu, depth, signs), even=even_positive_roots(mu.profile))
 
 
 def char_kac(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -514,10 +478,12 @@ def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
     sum over w of sign(w) ch N(w.lam), each summand `char_narrow` with its
     own quotient/product cross-check.  closed is the prefactor form
     ch M(0) * sum over w of sign(w) e^{w.lam} / prod over Gamma(w.lam)
-    (1+e^{-beta}).  Gamma(w.lam) = w(Gamma(lam)), as W only permutes the
-    odd roots; a Weyl-independent denominator fails against the exact rank
-    computations of the narrow submodules.  The top-weight normalization
-    and the nonnegativity of narrow are checked here.
+    (1+e^{-beta}), with the ch M(0) unit factors applied once to the whole
+    inner sum (unit factors commute, and both are exact on the window).
+    Gamma(w.lam) = w(Gamma(lam)), as W only permutes the odd roots; a
+    Weyl-independent denominator fails against the exact rank computations
+    of the narrow submodules.  The top-weight normalization and the
+    nonnegativity of narrow are checked here.
     """
     p = lam.profile
     flags = classify(lam)
@@ -525,14 +491,13 @@ def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
         raise ValueError(f"{lam} must be regular dominant")
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
-    gamma_set(lam)  # raises unless the atypical roots are pairwise orthogonal
     floor = lam.xi - depth
     narrow = inner = zero_char(p, lam, depth)
     for w, nu in weyl_window(lam, depth):
         gamma = _by_index(atypicality(nu).gamma)
         narrow = narrow + char_narrow(nu, nu.xi - floor, warn=False).scale(w.sign)
-        inner = inner + _units(_floored(nu, floor), atypical=gamma).scale(w.sign)
-    closed = char_verma(_dist(p), zero_weight(p), depth).mul(inner)
+        inner = inner + _units(monomial(nu, nu.xi - floor), atypical=gamma).scale(w.sign)
+    closed = _units(inner, odd_positive_roots(p), even_positive_roots(p))
     if narrow.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")
     if any(v < 0 for v in narrow.coeffs.values()):

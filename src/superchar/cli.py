@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Weights are entered in coordinates by default ("a1,..,am/b1,..,bn");
-raw basis coefficients go through --coeffs.  Exit status: 0 when the
-requested computation or verification succeeds, 1 when a verification
-fails, 2 on usage errors, 3 when an enumeration would exceed its size
-bound, 4 when two computations that must agree identically do not (an
-internal inconsistency).  Errors print one `error:` line on stderr.  All
+raw basis coefficients go through --coeffs.  Input that would be
+ignored (both weight forms, or --borel for a character other than
+verma) is a usage error.  Exit status: 0 when the requested computation
+or verification succeeds, 1 when a verification fails, 2 on usage
+errors, 3 when an enumeration would exceed its size bound, 4 when two
+computations that must agree identically do not (an internal
+inconsistency).  Errors print one `error:` line on stderr.  All
 randomized sweeps take --seed and are byte-reproducible.
 """
 
@@ -45,6 +47,8 @@ def _parse_blocks(text: str, profile: rootdata.RankProfile) -> tuple[list[int], 
 
 
 def _weight_from_args(args, profile) -> rootdata.Weight:
+    if getattr(args, "coeffs", None) and getattr(args, "coords", None):
+        raise ValueError("pass either --coords or --coeffs, not both")
     if getattr(args, "coeffs", None):
         eps, delta = _parse_blocks(args.coeffs, profile)
         return rootdata.weight_from_blocks(profile, eps, delta)
@@ -178,6 +182,8 @@ CHAR_TYPES = ("verma", "even-simple", "kac", "narrow", "simple-td")
 def cmd_char(args) -> int:
     p = _profile(args)
     lam = _weight_from_args(args, p)
+    if args.borel and args.type != "verma":
+        raise ValueError(f"--borel applies only to --type verma, not --type {args.type}")
     if args.type == "verma":
         f = charring.char_verma(_borel_from_args(args, p), lam, args.depth)
     elif args.type == "even-simple":

@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superchar.borels import antidistinguished, distinguished, enumerate_borels
@@ -11,30 +11,38 @@ from superchar.charring import (
     ConsistencyError,
     DepthError,
     FormalChar,
-    GammaSet,
+    _by_index,
+    _simple_td_sides,
+    _subset_shifts,
+    _units,
     char_even_simple,
-    char_even_verma,
     char_kac,
     char_narrow,
     char_restriction_decomposition,
     char_simple_td,
     char_verma,
-    gamma_set,
+    even_verma_sum,
     monomial,
+    zero_char,
 )
+from superchar.diagrams import is_totally_disconnected
 from superchar.rootdata import (
     ProfileMismatch,
     RankProfile,
     Root,
     Weight,
+    atypicality,
     basis_weight,
+    classify,
     dot_action,
     even_positive_roots,
     odd_positive_roots,
+    pairing,
     rho_b,
     weight_from_blocks,
     weight_from_coords,
     weyl_group,
+    weyl_window,
     zero_weight,
 )
 
@@ -202,7 +210,7 @@ def test_ring_operations_build_no_weight_per_term(monkeypatch):
     built_by_depth = []
     for depth in (8, 10):
         f = char_verma(distinguished(p), lam, depth)
-        g = char_even_verma(lam, depth)
+        g = even_verma_sum(lam, (), depth)
         assert len(f.coeffs) >= 100
         built = []
         original = Weight.__post_init__
@@ -387,7 +395,7 @@ def test_kac_of_even_verma_is_whole_verma():
     # inducing the even Verma gives the distinguished Verma at character level
     p = P(2, 1)
     lam = weight_from_blocks(p, [2, -1], [1])
-    f = char_even_verma(lam, 6)
+    f = even_verma_sum(lam, (), 6)
     for beta in odd_positive_roots(p):
         f = f.mul_unit(beta, 1)
     assert f.equals(char_verma(distinguished(p), lam, 6))
@@ -396,13 +404,26 @@ def test_kac_of_even_verma_is_whole_verma():
 # -- narrow and simple characters ----------------------------------------------------
 
 
-def test_gamma_set_validation():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_gamma_is_pairwise_orthogonal_at_regular_weights(m, n, data):
+    """(eps_i - delta_j, eps_k - delta_l) = [i=k] - [j=l]: with no ties
+    inside a block, two distinct atypical roots share no index."""
+    p = P(m, n)
+    eps = data.draw(st.lists(st.integers(-3, 3), unique=True, min_size=m, max_size=m))
+    delta = data.draw(st.lists(st.integers(-3, 3), unique=True, min_size=n, max_size=n))
+    lam = weight_from_coords(p, eps, delta)
+    assert classify(lam).regular
+    gamma = [beta.as_weight() for beta in atypicality(lam).gamma]
+    assert all(pairing(a, b) == 0 for a in gamma for b in gamma)
+
+
+def test_gamma_of_a_singular_weight_need_not_be_orthogonal():
     p = P(2, 2)
-    lam = weight_from_coords(p, [5, 2], [2, 5])
-    gs = gamma_set(lam)
-    assert len(gs) == 2
-    with pytest.raises(ValueError):
-        GammaSet(frozenset({Root(p, 1, 3), Root(p, 1, 4)}))
+    lam = weight_from_coords(p, [5, 5], [5, 9])
+    assert not classify(lam).regular
+    assert atypicality(lam).gamma == {Root(p, 1, 3), Root(p, 2, 3)}
+    assert pairing(Root(p, 1, 3).as_weight(), Root(p, 2, 3).as_weight()) == -1
 
 
 def test_char_narrow_typical_equals_verma():
@@ -592,7 +613,7 @@ def test_window_monotone_char_verma(case, data):
 @given(windowed_weights())
 def test_window_monotone_char_even_verma(case):
     mu, deep, shallow = case
-    assert_window_monotone(lambda d: char_even_verma(mu, d), deep, shallow)
+    assert_window_monotone(lambda d: even_verma_sum(mu, (), d), deep, shallow)
 
 
 @settings(max_examples=30, deadline=None)
@@ -607,3 +628,83 @@ def test_window_monotone_char_kac(case):
 def test_window_monotone_char_narrow(case):
     lam, deep, shallow = case
     assert_window_monotone(lambda d: char_narrow(lam, d, warn=False), deep, shallow)
+
+
+# -- closed sums divide once -------------------------------------------------
+# Each closed sum is one series of monomials under one chain of unit factors.
+# The oracle is the route it replaced: every summand divided on its own.
+
+
+def _summand_by_summand(top, depth, weighted, units):
+    """Sum of count * _units(e^nu, **units(nu)) over (nu, count), each
+    summand on the window below top."""
+    floor = top.xi - depth
+    total = zero_char(top.profile, top, depth)
+    for nu, count in weighted:
+        total = total + _units(monomial(nu, nu.xi - floor), **units(nu)).scale(count)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_weights(dominant=True), st.data())
+def test_closed_sums_equal_summand_by_summand(case, data):
+    mu, depth, _ = case
+    even = {"even": even_positive_roots(mu.profile)}
+    window = [(nu, w.sign) for w, nu in weyl_window(mu, depth)]
+    expected = _summand_by_summand(mu, depth, window, lambda nu: even)
+    assert char_even_simple(mu, depth).to_json_obj() == expected.to_json_obj()
+
+    roots = data.draw(st.lists(st.sampled_from(odd_positive_roots(mu.profile)), unique=True))
+    shifts = [(nu, c) for nu, c in _subset_shifts(mu, roots).items() if nu.xi >= mu.xi - depth]
+    expected = _summand_by_summand(mu, depth, shifts, lambda nu: even)
+    assert even_verma_sum(mu, roots, depth).to_json_obj() == expected.to_json_obj()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(WINDOW_PROFILES), st.data())
+def test_euler_closed_side_equals_the_convolution(p, data):
+    """closed = ch M(0) * (the alternating sum over the window of
+    e^{w.lam} / prod over Gamma(w.lam) (1+e^{-beta})), as a convolution."""
+    eps = sorted(data.draw(st.lists(st.integers(0, 7), unique=True, min_size=p.m, max_size=p.m)))
+    delta = sorted(data.draw(st.lists(st.integers(0, 7), unique=True, min_size=p.n, max_size=p.n)))
+    lam = weight_from_coords(p, eps[::-1], delta)
+    assume(is_totally_disconnected(lam))
+    depth = data.draw(st.integers(0, 5))
+    window = [(nu, w.sign) for w, nu in weyl_window(lam, depth)]
+    inner = _summand_by_summand(
+        lam, depth, window, lambda nu: {"atypical": _by_index(atypicality(nu).gamma)}
+    )
+    expected = char_verma(distinguished(p), zero_weight(p), depth).mul(inner)
+    assert _simple_td_sides(lam, depth)[1].to_json_obj() == expected.to_json_obj()
+
+
+def test_closed_sums_divide_by_each_even_factor_once(monkeypatch):
+    """Not once per window element or odd subset."""
+    calls = []
+    div_unit = FormalChar.div_unit
+
+    def counting(self, beta, sign=1):
+        calls.append(beta)
+        return div_unit(self, beta, sign)
+
+    monkeypatch.setattr(FormalChar, "div_unit", counting)
+    p = P(3, 3)
+    even = len(even_positive_roots(p))
+    mu = weight_from_blocks(p, [6, 3, 0], [4, 2, 0])
+    assert len(list(weyl_window(mu, 8))) > 1
+    char_even_simple(mu, 8)
+    assert len(calls) == even == 6
+    calls.clear()
+    lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
+    char_restriction_decomposition(distinguished(p), lam, 6)
+    assert len(calls) == 2 * even  # char_verma, then the one subset sum
+
+
+def test_euler_closed_side_is_no_convolution(monkeypatch):
+    def convolution(self, other):
+        raise AssertionError("FormalChar.mul called")
+
+    monkeypatch.setattr(FormalChar, "mul", convolution)
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    narrow, closed = _simple_td_sides(lam, 6)
+    assert narrow.equals(closed)

@@ -98,6 +98,20 @@ def test_usage_error_exit_two(capsys):
     assert code == 2 and err.startswith("error: cannot parse weight blocks")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["atyp", "--m", "2", "--n", "1", "--coords", "3,0/3", "--coeffs", "0,0/0"],
+         "pass either --coords or --coeffs, not both"),
+        (["char", "--type", "kac", "--borel", "1", "--m", "2", "--n", "1", "--coords", "3,0/3"],
+         "--borel applies only to --type verma, not --type kac"),
+    ],
+    ids=["coords_and_coeffs", "borel_without_verma"],
+)
+def test_conflicting_input_exit_two(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_precondition_error_reported(capsys):
     # non-dominant weight: reported to stderr, usage exit
     code, out, err = run(
