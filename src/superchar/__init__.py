@@ -15,7 +15,6 @@ from .rootdata import (
     decode,
     dot_action,
     encode,
-    orbit_extremes,
     pairing,
     rho,
     rho_b,
@@ -30,7 +29,6 @@ from .borels import (
     antidistinguished,
     borel,
     borel_graph,
-    convert,
     distinguished,
     enumerate_borels,
     odd_reflection,
@@ -42,7 +40,6 @@ from .charring import (
     char_even_simple,
     char_kac,
     char_narrow,
-    char_restriction_decomposition,
     char_simple_td,
     char_verma,
     monomial,
@@ -56,9 +53,7 @@ from .diagrams import (
 from .vermacalc import (
     VermaElement,
     VermaModule,
-    bgg_square_check,
     e_g1_apply,
-    eg1_order_independence,
     narrow_image_dims,
     primitive_space_dim,
     singular_vector_even,
@@ -66,9 +61,7 @@ from .vermacalc import (
 )
 from .bggcheck import (
     EulerReport,
-    complex_shape,
     euler_check,
     character_shift_sweep,
-    restriction_check,
     small_rank_exactness,
 )

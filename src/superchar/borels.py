@@ -60,9 +60,6 @@ class BorelElt:
     def seq_ascii(self) -> str:
         return _seq(self).replace(EPS, "e").replace(DELTA, "d")
 
-    def shuffle(self) -> tuple[int, ...]:
-        return _shuffle(self)
-
     def box_count(self) -> int:
         return sum(self.partition)
 
@@ -155,21 +152,6 @@ def _shuffle(b: BorelElt) -> tuple[int, ...]:
     return tuple(tau)
 
 
-def borel_from_shuffle(profile: RankProfile, tau) -> BorelElt:
-    tau = tuple(tau)
-    if sorted(tau) != list(range(1, profile.dim + 1)):
-        raise ValueError("shuffle must be a permutation of 1..m+n")
-    m = profile.m
-    if any(tau[k] >= tau[k + 1] for k in range(m - 1)) or any(
-        tau[k] >= tau[k + 1] for k in range(m, profile.dim - 1)
-    ):
-        raise ValueError("not a shuffle: blocks must be increasing")
-    symbols = [""] * profile.dim
-    for i in range(1, profile.dim + 1):
-        symbols[tau[i - 1] - 1] = "e" if i <= m else "d"
-    return borel_from_seq(profile, "".join(symbols))
-
-
 @lru_cache(maxsize=None)
 def _positive_roots(b: BorelElt) -> frozenset[Root]:
     tau = _shuffle(b)
@@ -214,31 +196,6 @@ def _simple_roots(b: BorelElt) -> tuple[Root, ...]:
         Root(b.profile, by_position[p], by_position[p + 1])
         for p in range(b.profile.dim - 1)
     )
-
-
-@dataclass(frozen=True)
-class BorelViews:
-    partition: tuple[int, ...]
-    seq: str
-    shuffle: tuple[int, ...]
-    lattice_path: tuple[tuple[int, int], ...]
-
-
-def convert(b: BorelElt) -> BorelViews:
-    """All mutually consistent views of one Borel.
-
-    The lattice path walks from (n, 0) to (0, m), one step per sequence
-    symbol: eps steps up, delta steps left.
-    """
-    x, y = b.profile.n, 0
-    path = [(x, y)]
-    for ch in _seq(b):
-        if ch == EPS:
-            y += 1
-        else:
-            x -= 1
-        path.append((x, y))
-    return BorelViews(b.partition, _seq(b), _shuffle(b), tuple(path))
 
 
 def enumerate_borels(profile: RankProfile) -> list[BorelElt]:

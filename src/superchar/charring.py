@@ -41,8 +41,6 @@ from .rootdata import (
     even_positive_roots,
     is_even_dominant,
     odd_positive_roots,
-    rho,
-    rho_b,
     weyl_window,
 )
 
@@ -190,9 +188,6 @@ class FormalChar:
 
     def sorted_terms(self):
         return [(Weight(self.profile, t), v) for t, v in self._sorted_tuples()]
-
-    def is_zero(self) -> bool:
-        return not self._levels
 
     def __repr__(self):
         return f"FormalChar(top={self.top}, depth={self.depth}, {len(self.coeffs)} terms)"
@@ -350,17 +345,6 @@ class FormalChar:
             "terms": [{"weight": list(t), "coeff": str(c)} for t, c in self._sorted_tuples()],
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict, profile: RankProfile | None = None) -> "FormalChar":
-        if profile is None:
-            m, n = obj["profile"]
-            profile = RankProfile(m, n)
-        top = Weight(profile, tuple(obj["top"]))
-        coeffs = {
-            Weight(profile, tuple(t["weight"])): int(t["coeff"]) for t in obj["terms"]
-        }
-        return FormalChar(profile, top, obj["depth"], coeffs)
-
 
 def monomial(lam: Weight, depth: int) -> FormalChar:
     return FormalChar(lam.profile, lam, depth, {lam: 1})
@@ -402,26 +386,6 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     for beta in b.flipped_odd_roots():
         top = top + beta.as_weight()
     return _units(monomial(top, depth), odd_positive_roots(p), even_positive_roots(p))
-
-
-def _subset_shifts(lam: Weight, roots) -> Counter:
-    """The multiset of weights lam - sum(S) over the subsets S of `roots`."""
-    tally = Counter({lam: 1})
-    for beta in roots:
-        step = beta.as_weight()
-        for nu, count in list(tally.items()):
-            tally[nu - step] += count
-    return tally
-
-
-def even_verma_sum(lam: Weight, roots, depth: int) -> FormalChar:
-    """Sum over the subsets S of `roots` of the even Verma characters at
-    lam - sum(S), on the window below lam: the multiset of those weights
-    as one series of monomials, divided once by prod (1-e^{-gamma}).
-    With no roots it is the even Verma character e^lam / prod (1-e^{-gamma})."""
-    p, floor = lam.profile, lam.xi - depth
-    shifts = {nu: count for nu, count in _subset_shifts(lam, roots).items() if nu.xi >= floor}
-    return _units(FormalChar(p, lam, depth, shifts), even=even_positive_roots(p))
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -515,17 +479,3 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     if not narrow.equals(closed):
         raise ConsistencyError("simple-character expressions disagree")
     return narrow
-
-
-def char_restriction_decomposition(b, lam: Weight, depth: int = DEFAULT_DEPTH):
-    """Even highest weights lam - sum(S) over all odd subsets S, as a multiset.
-
-    The character identity ch M^b(lam + rho - rho^b) = sum of even Verma
-    characters at those weights is asserted before returning.
-    """
-    p = lam.profile
-    odd = odd_positive_roots(p)
-    lhs = char_verma(b, lam + rho(p) - rho_b(b), depth)
-    if not lhs.equals(even_verma_sum(lam, odd, depth)):
-        raise ConsistencyError("restriction decomposition identity failed")
-    return sorted(_subset_shifts(lam, odd).items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))

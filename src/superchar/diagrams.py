@@ -36,7 +36,6 @@ from .rootdata import (
     classify,
     encode,
     odd_positive_roots,
-    weight_from_coords,
 )
 
 CROSS, CIRCLE, VEE, WEDGE = "cross", "circle", "vee", "wedge"
@@ -84,15 +83,6 @@ def weight_diagram(lam: Weight) -> WeightDiagram:
         else:
             entries.append((p, CIRCLE))
     return WeightDiagram(lam.profile, tuple(entries))
-
-
-def diagram_weight(d: WeightDiagram) -> Weight:
-    """The unique regular dominant weight with this diagram."""
-    eps = sorted(d.positions(CROSS) + d.positions(VEE), reverse=True)
-    delta = sorted(d.positions(CIRCLE) + d.positions(VEE))
-    if len(eps) != d.profile.m or len(delta) != d.profile.n:
-        raise ValueError("diagram does not match the profile's block sizes")
-    return weight_from_coords(d.profile, eps, delta)
 
 
 def is_totally_disconnected(lam: Weight) -> bool:

@@ -109,9 +109,6 @@ class Weight:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     @property
     def eps_block(self) -> tuple[int, ...]:
         return self.coeffs[: self.profile.m]
@@ -209,11 +206,6 @@ def odd_positive_roots(profile: RankProfile) -> tuple[Root, ...]:
     return tuple(Root(profile, i, m + j) for i in range(1, m + 1) for j in range(1, n + 1))
 
 
-def all_roots(profile: RankProfile) -> tuple[Root, ...]:
-    d = profile.dim
-    return tuple(Root(profile, i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j)
-
-
 # ---------------------------------------------------------------------------
 # Weyl group S_m x S_n
 
@@ -265,15 +257,6 @@ class WeylElt:
         tau = tuple(self.tau[other.tau[k] - 1] for k in range(len(self.tau)))
         return WeylElt(sigma, tau)
 
-    def inverse(self) -> "WeylElt":
-        sigma = [0] * len(self.sigma)
-        tau = [0] * len(self.tau)
-        for k, v in enumerate(self.sigma):
-            sigma[v - 1] = k + 1
-        for k, v in enumerate(self.tau):
-            tau[v - 1] = k + 1
-        return WeylElt(tuple(sigma), tuple(tau))
-
 
 def identity_weyl(profile: RankProfile) -> WeylElt:
     return WeylElt(tuple(range(1, profile.m + 1)), tuple(range(1, profile.n + 1)))
@@ -293,13 +276,6 @@ def weyl_group(profile: RankProfile) -> list[WeylElt]:
         for s in itertools.permutations(ids_m)
         for t in itertools.permutations(ids_n)
     ]
-
-
-def longest_element(profile: RankProfile) -> WeylElt:
-    return WeylElt(
-        tuple(range(profile.m, 0, -1)),
-        tuple(range(profile.n, 0, -1)),
-    )
 
 
 def reflection(root: Root) -> WeylElt:
@@ -472,7 +448,7 @@ def weight_from_coords(profile: RankProfile, eps_values, delta_values) -> Weight
 
 
 # ---------------------------------------------------------------------------
-# Classification and orbit representatives
+# Classification
 
 
 @dataclass(frozen=True)
@@ -495,25 +471,6 @@ def classify(lam: Weight) -> WeightFlags:
         d[k] >= d[k + 1] for k in range(len(d) - 1)
     )
     return WeightFlags(regular, dominant, antidominant)
-
-
-@dataclass(frozen=True)
-class OrbitExtremes:
-    dominant: Weight
-    antidominant: Weight
-
-
-def orbit_extremes(lam: Weight) -> OrbitExtremes:
-    """Dominant and antidominant representatives of the dot orbit.
-
-    For regular lam these are the unique such weights; otherwise ties are
-    broken by a stable sort and the result is a representative only.
-    """
-    c = encode(lam)
-    e, d = list(c.eps_block), list(c.delta_block)
-    dom = coords(lam.profile, sorted(e, reverse=True), sorted(d))
-    antidom = coords(lam.profile, sorted(e), sorted(d, reverse=True))
-    return OrbitExtremes(decode(dom), decode(antidom))
 
 
 # ---------------------------------------------------------------------------

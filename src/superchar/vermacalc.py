@@ -6,15 +6,14 @@ for a Borel b is spanned by ordered monomials in the b-negative root
 vectors applied to the highest weight vector: even factors first (lex
 by index pair), then odd factors (lex), odd exponents at most one.
 The order is a normalization choice only; every check downstream is
-rank- or proportionality-based, never coefficient-literal.
+rank-based, never coefficient-literal.
 
 Generator action straightens words against the highest-weight
 relations: raising vectors die on the highest vector, Cartan elements
 act by the weight, and out-of-order products are rewritten with the
 supercommutator.  Every coefficient is an integer: the straightening,
 the elements it produces and the row reduction of their coordinates
-use no rationals.  Only `VermaElement.proportionality` returns one, the
-ratio of two elements.
+use no rationals.
 
 An element's weight is read off its first monomial.  Homogeneity is
 checked at the boundary: by `VermaModule.element`, by `+`, and by
@@ -28,8 +27,6 @@ it straightens.
 from __future__ import annotations
 
 import os
-import random
-from fractions import Fraction
 
 from .borels import BorelElt, antidistinguished, distinguished
 from .linalg import RowBasis, matrix_rank
@@ -40,13 +37,11 @@ from .rootdata import (
     RankProfile,
     Root,
     Weight,
-    WeylElt,
     dot_action,
     even_positive_roots,
     odd_positive_roots,
     pairing,
     reflection,
-    rho,
     rho_b,
     rho1_doubled_distinguished,
 )
@@ -129,9 +124,6 @@ class VermaModule:
         if len({self._mono_coeffs(m) for m, c in terms.items() if c}) > 1:
             raise ValueError("inhomogeneous combination of monomials")
         return VermaElement(self, terms)
-
-    def zero(self) -> "VermaElement":
-        return VermaElement(self, {})
 
     def lowered(self, alpha: Root, k: int) -> "VermaElement":
         """E_{-alpha}^k v: the lowering vector of the even positive root
@@ -318,22 +310,6 @@ class VermaElement:
     def scale(self, c: int) -> "VermaElement":
         return VermaElement(self.module, {m: c * v for m, v in self.terms.items()})
 
-    def proportionality(self, other: "VermaElement"):
-        """The rational c with self = c * other, or None if not proportional.
-
-        Two zero elements are proportional with scalar 1.
-        """
-        if self.module is not other.module:
-            return None
-        if other.is_zero():
-            return Fraction(1) if self.is_zero() else None
-        if self.is_zero():
-            return Fraction(0)
-        if set(self.terms) != set(other.terms):
-            return None
-        ratios = {Fraction(c, other.terms[m]) for m, c in self.terms.items()}
-        return ratios.pop() if len(ratios) == 1 else None
-
     def __repr__(self):
         parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
         return f"VermaElement({' + '.join(parts) or '0'})"
@@ -420,32 +396,31 @@ def antidistinguished_module(lam: Weight) -> VermaModule:
     return VermaModule(antidistinguished(p), lam - rho1_doubled_distinguished(p))
 
 
-def e_g1_apply(lam: Weight, module: VermaModule | None = None, order=None) -> VermaElement:
-    """The product of all distinguished-positive odd root vectors applied to
-    the anti-distinguished highest vector; a single monomial of weight lam."""
+def e_g1_apply(lam: Weight, module: VermaModule | None = None) -> VermaElement:
+    """X v: the product X of all distinguished-positive odd root vectors
+    applied to the anti-distinguished highest vector v; a single monomial
+    of weight lam.
+
+    The order of the factors matters only up to sign.  Each factor is
+    E_{i,a} with i <= m < a, and
+    [E_{i,a}, E_{k,b}] = d_{ak} E_{i,b} + d_{bi} E_{k,a} = 0 as a, b > m >= i, k:
+    g_{+1} of the distinguished Borel is abelian, so the factors
+    anticommute and each squares to zero.  Reordering X changes it only
+    by the sign of the permutation.
+
+    X commutes with every even lowering vector f = E_{j,i} (i < j in one
+    block).  ad f sends each factor to 0 or to plus or minus another
+    factor: [E_{j,i}, E_{i,a}] = E_{j,a} on the eps block, and
+    [E_{j,i}, E_{k,j}] = -E_{k,i} on the delta block.  So each term of
+    [f, X] repeats a factor and vanishes, and f^k X v = X f^k v exactly:
+    the even embedding and the odd product give one canonical map.
+    """
     if module is None:
         module = antidistinguished_module(lam)
-    pairs = list(order) if order is not None else list(_odd_product_pairs(lam.profile))
-    vec = module.apply_word(pairs, module.highest_vector())
+    vec = module.apply_word(_odd_product_pairs(lam.profile), module.highest_vector())
     if vec.is_zero() or vec.weight != lam:
         raise ConsistencyError(f"odd product of weight {vec.weight} does not reach {lam}")
     return vec
-
-
-def eg1_order_independence(lam: Weight, trials: int = 4, seed: int = 0) -> bool:
-    """All reorderings of the odd product give proportional elements."""
-    module = antidistinguished_module(lam)
-    base = e_g1_apply(lam, module)
-    rng = random.Random(seed)
-    pairs = list(_odd_product_pairs(lam.profile))
-    for _ in range(trials):
-        shuffled = pairs[:]
-        rng.shuffle(shuffled)
-        other = e_g1_apply(lam, module, order=shuffled)
-        ratio = other.proportionality(base)
-        if ratio is None or ratio == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -572,50 +547,3 @@ def narrow_image_dims(lam: Weight, depth: int) -> dict[Weight, int]:
     # a lazy seed: the window's cell bound is checked before it is built
     seeds = map(e_g1_apply, [lam], [module])
     return submodule_weight_ranks(module, seeds, lam, depth)
-
-
-# ---------------------------------------------------------------------------
-# Commutation of the odd product with even embeddings
-
-
-def _simple_reflection_root(w: WeylElt, profile: RankProfile) -> Root:
-    for alpha in even_positive_roots(profile):
-        if reflection(alpha) == w:
-            return alpha
-    raise ValueError("the Weyl element is not a single reflection")
-
-
-def bgg_square_check(lam: Weight, w: WeylElt) -> bool:
-    """The two routes from the Verma at w.lam into the anti-distinguished
-    ambient (odd product then even embedding, or the reverse) agree up to
-    one nonzero scalar.
-
-    Supported for length-one w; length zero is trivially true.
-    """
-    if w.length == 0:
-        return True
-    if w.length > 1:
-        raise ValueError("only length-one reflections are supported")
-    p = lam.profile
-    alpha = _simple_reflection_root(w, p)
-    k = coroot_pairing(lam + rho(p), alpha)
-    if k <= 0:
-        raise ValueError(f"no even embedding: coroot pairing is {k}")
-    module = antidistinguished_module(lam)
-    odd_pairs = _odd_product_pairs(p)
-    # odd product after the even embedding, and the reverse order
-    route_a = module.apply_word(odd_pairs, module.lowered(alpha, k))
-    route_b = module.apply_word(
-        [(alpha.j, alpha.i)] * k, module.apply_word(odd_pairs, module.highest_vector())
-    )
-    ratio = route_a.proportionality(route_b)
-    if ratio is None or ratio == 0 or route_b.is_zero():
-        return False
-    # one step deeper: the exact relation persists under every generator
-    d = p.dim
-    for x in ((i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j):
-        im_a = module.apply(x, route_a)
-        im_b = module.apply(x, route_b)
-        if not (im_a.scale(ratio.denominator) - im_b.scale(ratio.numerator)).is_zero():
-            return False
-    return True

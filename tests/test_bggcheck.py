@@ -1,21 +1,23 @@
+import itertools
+
 import pytest
 
 from superchar import bggcheck
 from superchar.bggcheck import (
-    complex_shape,
     euler_check,
     character_shift_sweep,
     image_check,
-    restriction_check,
     small_rank_exactness,
 )
-from superchar.charring import FormalChar
+from superchar.borels import distinguished
+from superchar.charring import FormalChar, char_narrow, char_verma, zero_char
 from superchar.rootdata import (
     RankProfile,
     atypicality,
+    odd_positive_roots,
     weight_from_coords,
-    weyl_group,
 )
+from superchar.vermacalc import narrow_image_dims
 
 
 def P(m, n):
@@ -91,18 +93,6 @@ def test_euler_report_json():
     assert obj["profile"] == [1, 1] and obj["lambda_coords"] == [1, 1]
 
 
-def test_complex_shape():
-    assert complex_shape(P(2, 2)) == (1, 2, 1)
-    for m, n in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)]:
-        lengths = [w.length for w in weyl_group(P(m, n))]
-        shape = complex_shape(P(m, n))
-        assert shape == tuple(lengths.count(k) for k in range(max(lengths) + 1))
-        assert shape == shape[::-1]
-    # closed form: gl(6|6) is past the Weyl-group enumeration bound
-    widths = complex_shape(P(6, 6))
-    assert sum(widths) == 518_400 and len(widths) == 31
-
-
 def test_character_shift_sweep_pass_and_mismatches(monkeypatch):
     report = character_shift_sweep(P(2, 2), trials=2, depth=5, seed=0)
     assert report.passed
@@ -114,19 +104,41 @@ def test_character_shift_sweep_pass_and_mismatches(monkeypatch):
     assert small.passed and small.pairs_checked == 8
 
 
+def even_verma_subset_sum(lam, roots, depth):
+    """Sum over the subsets S of `roots` of the even Verma character at
+    lam - sum(S), on the window below lam, each summand on its own: the
+    even Verma character at nu is the gl(m|n) Verma character at nu with
+    every odd factor divided back out."""
+    p, floor = lam.profile, lam.xi - depth
+    total = zero_char(p, lam, depth)
+    for mask in itertools.product((0, 1), repeat=len(roots)):
+        nu = lam
+        for bit, beta in zip(mask, roots):
+            if bit:
+                nu = nu - beta.as_weight()
+        if nu.xi >= floor:
+            verma = char_verma(distinguished(p), nu, nu.xi - floor)
+            for beta in odd_positive_roots(p):
+                verma = verma.div_unit(beta, +1)
+            total = total + verma
+    return total
+
+
 def test_restriction_check():
-    p11 = P(1, 1)
-    assert restriction_check(weight_from_coords(p11, [2], [2]), 4)  # atypical
-    p21 = P(2, 1)
-    assert restriction_check(weight_from_coords(p21, [3, 0], [7]), 5)  # typical, 4 subsets
-    assert restriction_check(weight_from_coords(p21, [3, 0], [3]), 5)  # 2 subsets
-    p22 = P(2, 2)
-    assert restriction_check(weight_from_coords(p22, [7, 2], [2, 7]), 4)
-
-
-def test_restriction_check_rejects_non_generic():
-    with pytest.raises(ValueError):
-        restriction_check(weight_from_coords(P(2, 1), [2, 1], [5]), 4)
+    # the narrow character restricts to the even Verma characters over the
+    # subsets of the odd positive roots that are not atypical
+    cases = [
+        (P(1, 1), ([2], [2]), 4),  # atypical
+        (P(2, 1), ([3, 0], [7]), 5),  # typical, 4 subsets
+        (P(2, 1), ([3, 0], [3]), 5),  # 2 subsets
+        (P(2, 2), ([7, 2], [2, 7]), 4),
+    ]
+    for p, (eps, delta), depth in cases:
+        lam = weight_from_coords(p, eps, delta)
+        gamma = atypicality(lam).gamma
+        usable = [beta for beta in odd_positive_roots(p) if beta not in gamma]
+        expected = even_verma_subset_sum(lam, usable, depth)
+        assert char_narrow(lam, depth, warn=False).to_json_obj() == expected.to_json_obj()
 
 
 def test_restriction_subset_counts():
@@ -150,3 +162,15 @@ def test_antidominant_generic_narrow_is_simple_gl11():
         result = image_check(weight_from_coords(p, [t], [t]), 2)  # atypical, antidominant
         assert result.passed
         assert sum(rank for _, rank, _ in result.rows) == 1  # one-dimensional simple module
+
+
+def test_image_check_refuses_non_generic_weights():
+    # the closed narrow formula needs genericity: at the trivial gl(2|2)
+    # weight one weight of xi-drop 4 has rank 0 and coefficient 1
+    lam = weight_from_coords(P(2, 2), [0, -1], [-1, 0])
+    ranks = narrow_image_dims(lam, 4)
+    chart = char_narrow(lam, 4, warn=False)
+    wrong = [(lam.xi - nu.xi, r, chart.coeff(nu)) for nu, r in ranks.items() if r != chart.coeff(nu)]
+    assert wrong == [(4, 0, 1)]
+    with pytest.raises(ValueError, match="not g_-1-generic"):
+        image_check(lam, 4)

@@ -9,9 +9,7 @@ from superchar.borels import (
     antidistinguished,
     borel,
     borel_from_seq,
-    borel_from_shuffle,
     borel_graph,
-    convert,
     distinguished,
     enumerate_borels,
     odd_reflection,
@@ -72,11 +70,9 @@ def test_views_round_trip_up_to_5_5():
         for n in range(1, 6):
             p = P(m, n)
             for b in enumerate_borels(p):
-                views = convert(b)
-                assert borel_from_seq(p, views.seq) == b
-                assert borel_from_shuffle(p, views.shuffle) == b
-                assert views.lattice_path[0] == (n, 0)
-                assert views.lattice_path[-1] == (0, m)
+                assert borel_from_seq(p, b.seq()) == b
+                assert borel_from_seq(p, b.seq_ascii()) == b
+                assert sorted(b.seq_ascii()) == ["d"] * n + ["e"] * m
 
 
 def test_positive_system_sizes_and_even_part():

@@ -1,6 +1,8 @@
+import itertools
 import json
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,15 +15,12 @@ from superchar.charring import (
     FormalChar,
     _by_index,
     _simple_td_sides,
-    _subset_shifts,
     _units,
     char_even_simple,
     char_kac,
     char_narrow,
-    char_restriction_decomposition,
     char_simple_td,
     char_verma,
-    even_verma_sum,
     monomial,
     zero_char,
 )
@@ -38,6 +37,7 @@ from superchar.rootdata import (
     even_positive_roots,
     odd_positive_roots,
     pairing,
+    rho,
     rho_b,
     weight_from_blocks,
     weight_from_coords,
@@ -182,7 +182,7 @@ def test_level_store_invariant_property(case):
             results += [a.mul_unit(beta, sign), a.div_unit(beta, sign)]
     for f in results:
         assert_level_store(f)
-    assert (a - a).is_zero() and not (a - a).coeffs
+    assert not (a - a).coeffs
     with pytest.raises(TypeError):
         a.coeffs[a.top] = 1
 
@@ -201,6 +201,11 @@ def test_window_checks():
         FormalChar._make(p, top, 2, {top.xi + 1: {(top + gamma).coeffs: 1}})
 
 
+def even_verma(lam, depth):
+    """The even Verma character e^lam / prod (1-e^{-gamma})."""
+    return _units(monomial(lam, depth), even=even_positive_roots(lam.profile))
+
+
 def test_ring_operations_build_no_weight_per_term(monkeypatch):
     """div_unit, mul_unit, mul, + and equals build a fixed number of
     Weights, however many terms their operands hold."""
@@ -210,7 +215,7 @@ def test_ring_operations_build_no_weight_per_term(monkeypatch):
     built_by_depth = []
     for depth in (8, 10):
         f = char_verma(distinguished(p), lam, depth)
-        g = even_verma_sum(lam, (), depth)
+        g = even_verma(lam, depth)
         assert len(f.coeffs) >= 100
         built = []
         original = Weight.__post_init__
@@ -272,7 +277,9 @@ def test_serialization_round_trip_and_order():
     assert obj["terms"][0]["coeff"] == "1"
     levels = [Weight(p, tuple(t["weight"])).xi for t in obj["terms"]]
     assert levels == sorted(levels, reverse=True)
-    g = FormalChar.from_json_obj(json.loads(json.dumps(obj)))
+    back = json.loads(json.dumps(obj))
+    coeffs = {Weight(p, tuple(t["weight"])): int(t["coeff"]) for t in back["terms"]}
+    g = FormalChar(p, Weight(p, tuple(back["top"])), back["depth"], coeffs)
     assert g.equals(f) and g.top == f.top and g.depth == f.depth
 
 
@@ -395,7 +402,7 @@ def test_kac_of_even_verma_is_whole_verma():
     # inducing the even Verma gives the distinguished Verma at character level
     p = P(2, 1)
     lam = weight_from_blocks(p, [2, -1], [1])
-    f = even_verma_sum(lam, (), 6)
+    f = even_verma(lam, 6)
     for beta in odd_positive_roots(p):
         f = f.mul_unit(beta, 1)
     assert f.equals(char_verma(distinguished(p), lam, 6))
@@ -497,31 +504,55 @@ def test_char_simple_td_rejects_bad_input():
 # -- restriction decomposition ---------------------------------------------------------
 
 
+def subset_weights(lam, roots):
+    """The multiset of lam - sum(S) over the subsets S of `roots`."""
+    tally = Counter()
+    for mask in itertools.product((0, 1), repeat=len(roots)):
+        nu = lam
+        for bit, beta in zip(mask, roots):
+            if bit:
+                nu = nu - beta.as_weight()
+        tally[nu] += 1
+    return tally
+
+
+def even_verma_subset_sum(lam, depth):
+    """Sum over the subsets S of the odd positive roots of the even Verma
+    characters at lam - sum(S), each summand on its own."""
+    floor = lam.xi - depth
+    window = [(nu, c) for nu, c in subset_weights(lam, odd_positive_roots(lam.profile)).items()
+              if nu.xi >= floor]
+    return _summand_by_summand(lam, depth, window, lambda nu: {"even": even_positive_roots(lam.profile)})
+
+
 def test_restriction_decomposition_counts():
-    p11 = P(1, 1)
-    lam = weight_from_blocks(p11, [2], [0])
-    summands = char_restriction_decomposition(distinguished(p11), lam, 4)
-    beta = Root(p11, 1, 2).as_weight()
-    assert summands == [(lam, 1), (lam - beta, 1)]
-
-    p21 = P(2, 1)
-    lam = weight_from_blocks(p21, [1, 0], [0])
-    assert len(char_restriction_decomposition(distinguished(p21), lam, 4)) == 4
-
+    # ch M(lam) restricts to the even Verma characters at lam - sum(S),
+    # counted with multiplicity
+    cases = [
+        (P(1, 1), ([2], [0]), 4),
+        (P(2, 1), ([1, 0], [0]), 4),
+        (P(2, 2), ([1, 0], [0, -1]), 3),
+        (P(2, 2), ([1, 0], [0, -1]), 4),
+    ]
+    for p, (eps, delta), depth in cases:
+        lam = weight_from_blocks(p, eps, delta)
+        expected = even_verma_subset_sum(lam, depth)
+        assert char_verma(distinguished(p), lam, depth).to_json_obj() == expected.to_json_obj()
+    # at gl(2|2) two subsets share their sum, at xi-drop 4: only the depth-4
+    # window sees a multiplicity of 2
     p22 = P(2, 2)
     lam = weight_from_blocks(p22, [1, 0], [0, -1])
-    summands = char_restriction_decomposition(distinguished(p22), lam, 3)
-    assert sum(mult for _, mult in summands) == 16
-    # two subsets share their sum at xi-drop 4, inside this window
-    assert [mult for _, mult in char_restriction_decomposition(distinguished(p22), lam, 4)].count(2) == 1
+    shared = [nu for nu, c in subset_weights(lam, odd_positive_roots(p22)).items() if c == 2]
+    assert [lam.xi - nu.xi for nu in shared] == [4]
 
 
 def test_restriction_decomposition_other_borel():
-    p = P(2, 1)
-    lam = weight_from_blocks(p, [2, 0], [1])
-    for b in enumerate_borels(p):
-        summands = char_restriction_decomposition(b, lam, 4)
-        assert sum(mult for _, mult in summands) == 4
+    # for every Borel b, ch M^b(lam + rho - rho^b) is the same subset sum
+    for p, (eps, delta) in [(P(2, 1), ([2, 0], [1])), (P(2, 2), ([1, 0], [0, -1]))]:
+        lam = weight_from_blocks(p, eps, delta)
+        expected = even_verma_subset_sum(lam, 4)
+        for b in enumerate_borels(p):
+            assert char_verma(b, lam + rho(p) - rho_b(b), 4).equals(expected)
 
 
 def test_char_simple_td_against_word_rank_oracle():
@@ -544,7 +575,7 @@ def test_char_simple_td_against_word_rank_oracle():
             words = []
 
             def rec(word, remaining):
-                if remaining.is_zero():
+                if not any(remaining.coeffs):
                     words.append(tuple(word))
                     return
                 for x in simples:
@@ -613,7 +644,7 @@ def test_window_monotone_char_verma(case, data):
 @given(windowed_weights())
 def test_window_monotone_char_even_verma(case):
     mu, deep, shallow = case
-    assert_window_monotone(lambda d: even_verma_sum(mu, (), d), deep, shallow)
+    assert_window_monotone(lambda d: even_verma(mu, d), deep, shallow)
 
 
 @settings(max_examples=30, deadline=None)
@@ -646,18 +677,13 @@ def _summand_by_summand(top, depth, weighted, units):
 
 
 @settings(max_examples=30, deadline=None)
-@given(windowed_weights(dominant=True), st.data())
-def test_closed_sums_equal_summand_by_summand(case, data):
+@given(windowed_weights(dominant=True))
+def test_closed_sums_equal_summand_by_summand(case):
     mu, depth, _ = case
     even = {"even": even_positive_roots(mu.profile)}
     window = [(nu, w.sign) for w, nu in weyl_window(mu, depth)]
     expected = _summand_by_summand(mu, depth, window, lambda nu: even)
     assert char_even_simple(mu, depth).to_json_obj() == expected.to_json_obj()
-
-    roots = data.draw(st.lists(st.sampled_from(odd_positive_roots(mu.profile)), unique=True))
-    shifts = [(nu, c) for nu, c in _subset_shifts(mu, roots).items() if nu.xi >= mu.xi - depth]
-    expected = _summand_by_summand(mu, depth, shifts, lambda nu: even)
-    assert even_verma_sum(mu, roots, depth).to_json_obj() == expected.to_json_obj()
 
 
 @settings(max_examples=30, deadline=None)
@@ -679,7 +705,7 @@ def test_euler_closed_side_equals_the_convolution(p, data):
 
 
 def test_closed_sums_divide_by_each_even_factor_once(monkeypatch):
-    """Not once per window element or odd subset."""
+    """Not once per window element."""
     calls = []
     div_unit = FormalChar.div_unit
 
@@ -694,10 +720,6 @@ def test_closed_sums_divide_by_each_even_factor_once(monkeypatch):
     assert len(list(weyl_window(mu, 8))) > 1
     char_even_simple(mu, 8)
     assert len(calls) == even == 6
-    calls.clear()
-    lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
-    char_restriction_decomposition(distinguished(p), lam, 6)
-    assert len(calls) == 2 * even  # char_verma, then the one subset sum
 
 
 def test_euler_closed_side_is_no_convolution(monkeypatch):

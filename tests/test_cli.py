@@ -121,6 +121,13 @@ def test_precondition_error_reported(capsys):
     assert "error" in err
 
 
+def test_image_refuses_non_generic_weight(capsys):
+    # the trivial gl(2|2) weight: `euler` and `image` both refuse it
+    weight = ["--m", "2", "--n", "2", "--coords", "0,-1/-1,0", "--depth", "4"]
+    for command in ("euler", "image"):
+        assert run(capsys, [command, *weight]) == (2, "", "error: (0,0|0,0) is not g_-1-generic\n")
+
+
 def test_sweep_seed_determinism(capsys):
     args = ["sweep", "--m", "2", "--n", "1", "--trials", "2", "--seed", "7",
             "--depth", "4", "--format", "json"]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from superchar.bggcheck import genericity_check
 from superchar.diagrams import (
     diagram_json,
-    diagram_weight,
     is_g1_generic,
     is_totally_disconnected,
     render_ascii,
@@ -73,7 +72,12 @@ def test_diagram_round_trip():
             eps = sorted(rng.sample(range(-9, 10), p.m), reverse=True)
             delta = sorted(rng.sample(range(-9, 10), p.n))
             lam = weight_from_coords(p, eps, delta)
-            assert diagram_weight(weight_diagram(lam)) == lam
+            # the diagram determines the weight: crosses and vees are the eps
+            # coordinates, circles and vees the delta coordinates
+            d = weight_diagram(lam)
+            eps_back = sorted(d.positions("cross") + d.positions("vee"), reverse=True)
+            delta_back = sorted(d.positions("circle") + d.positions("vee"))
+            assert weight_from_coords(p, eps_back, delta_back) == lam
 
 
 def test_diagram_rejects_non_dominant_and_non_regular():

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import superchar
@@ -30,3 +31,52 @@ def test_bench_tracer_hooks_name_live_callables():
     ring = dict(vars(superchar.charring.FormalChar))
     assert tracer.Tracer(superchar).run(lambda: None) is None
     assert dict(vars(superchar.charring.FormalChar)) == ring  # every original restored
+
+
+# Public names that nothing in the package calls, each kept for one reason.
+UNCALLED_BY_DESIGN = {
+    "FormalChar.mul": "perfbench/tracer.py hooks it (RING_OUTPUTS)",
+    "FormalChar.retruncate": "perfbench/tracer.py hooks it (RING_OUTPUTS)",
+    "weyl_group": "the tests' reference for weyl_window",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _names_used(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a name counts as used when the package refers to it outside its own
+    # definition; re-exports from __init__.py do not count
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used = Counter(name for tree in trees.values() for name in _names_used(tree))
+    defined, dead = set(), []
+    for module, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            defined.add(qualified)
+            name = qualified.rsplit(".", 1)[-1]
+            own = Counter(_names_used(node))[name]
+            if used[name] == own and qualified not in UNCALLED_BY_DESIGN:
+                dead.append(f"{module}:{qualified}")
+    assert dead == []
+    assert set(UNCALLED_BY_DESIGN) <= defined
