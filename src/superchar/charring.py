@@ -18,7 +18,11 @@ takes a {Weight: int} dict, and `FormalChar.coeffs` is a read-only
 Characters of Verma modules for an arbitrary Borel are normalized into
 this cone by rewriting each wrong-direction odd factor
 (1 + e^{+beta}) = e^{beta} (1 + e^{-beta}); only the top weight moves,
-so Vermas for all Borels become directly comparable series.
+so Vermas for all Borels become directly comparable series.  Each is
+then e^{top} times one series P = prod over odd (1+e^{-beta}) / prod
+over even (1-e^{-gamma}) that depends only on the profile, and the unit
+steps act level by level relative to the top: a Verma character is P
+translated, and P is built once per profile.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .rootdata import (
     is_even_dominant,
     odd_positive_roots,
     weyl_window,
+    zero_weight,
 )
 
 DEFAULT_DEPTH = 8
@@ -129,12 +134,16 @@ class FormalChar:
     def __init__(self, profile, top: Weight, depth: int, coeffs: dict):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
+        if top.profile != profile:
+            raise ProfileMismatch(f"top {top} is not a weight of {profile}")
         self.profile = profile
         self.top = top
         self.depth = depth
         ceiling, floor = top.xi, top.xi - depth
         levels: dict = {}
         for k, v in coeffs.items():
+            if k.profile != profile:
+                raise ProfileMismatch(f"weight {k} is not a weight of {profile}")
             if v == 0:
                 continue
             level = k.xi
@@ -375,17 +384,49 @@ def _by_index(roots):
     return sorted(roots, key=lambda r: (r.i, r.j))
 
 
+# profile -> ch M(0) of the distinguished cone, at the deepest depth asked
+_VERMA_AT_ZERO: dict = {}
+
+
+def _verma_at_zero(profile: RankProfile, depth: int) -> FormalChar:
+    """prod over odd (1+e^{-beta}) / prod over even (1-e^{-gamma}), top 0.
+
+    One series per profile is kept, at the deepest depth asked for so
+    far; a deeper request rebuilds and replaces it, a shallower one is a
+    cut of it to levels >= -depth.  The cut is exact, as each unit step
+    only moves terms down.
+    """
+    f = _VERMA_AT_ZERO.get(profile)
+    if f is None or f.depth < depth:
+        f = _units(
+            monomial(zero_weight(profile), depth),
+            odd_positive_roots(profile),
+            even_positive_roots(profile),
+        )
+        _VERMA_AT_ZERO[profile] = f
+    return f.retruncate(depth)
+
+
 def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """e^lam * prod over odd positives (1+e^{-beta}) / prod (1-e^{-gamma}).
 
     Wrong-direction odd factors of b are normalized into the cone, which
-    shifts the stored top to lam plus the flipped odd roots.
+    shifts the stored top to lam plus the flipped odd roots.  The unit
+    factors do not depend on the top, and each step (mul_unit, div_unit)
+    acts level by level relative to it, so the character is the series
+    `_verma_at_zero` translated: every coefficient tuple moves by top and
+    every xi level by xi(top).
     """
     p = lam.profile
     top = lam
     for beta in b.flipped_odd_roots():
         top = top + beta.as_weight()
-    return _units(monomial(top, depth), odd_positive_roots(p), even_positive_roots(p))
+    shift, step = top.coeffs, top.xi
+    levels = {
+        level + step: {tuple(map(add, t, shift)): v for t, v in terms.items()}
+        for level, terms in _verma_at_zero(p, depth)._levels.items()
+    }
+    return FormalChar._make(p, top, depth, levels)
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:

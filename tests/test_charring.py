@@ -3,11 +3,14 @@ import json
 import operator
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from superchar import charring
+from superchar.bggcheck import character_shift_sweep, euler_check
 from superchar.borels import antidistinguished, distinguished, enumerate_borels
 from superchar.charring import (
     ConsistencyError,
@@ -199,6 +202,19 @@ def test_window_checks():
             FormalChar(p, top, 2, {w: 1})
     with pytest.raises(ConsistencyError, match="outside the window"):
         FormalChar._make(p, top, 2, {top.xi + 1: {(top + gamma).coeffs: 1}})
+
+
+def test_constructor_refuses_another_profile():
+    # gl(2|1) and gl(1|2) weights have the same length, so only the check tells them apart
+    p, q = P(2, 1), P(1, 2)
+    top = weight_from_blocks(p, [3, 0], [0])
+    stranger = Weight(q, (3, 0, 0))
+    with pytest.raises(ProfileMismatch):
+        FormalChar(p, stranger, 4, {})
+    with pytest.raises(ProfileMismatch):
+        FormalChar(p, top, 4, {stranger: 1})
+    with pytest.raises(ProfileMismatch):
+        zero_char(p, stranger, 4)
 
 
 def even_verma(lam, depth):
@@ -730,3 +746,91 @@ def test_euler_closed_side_is_no_convolution(monkeypatch):
     lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
     narrow, closed = _simple_td_sides(lam, 6)
     assert narrow.equals(closed)
+
+
+# -- one Verma series per profile -----------------------------------------------
+# char_verma translates one cached series per profile; the oracle is the
+# series built from a monomial at the translated top, as it was before.
+
+
+def _from_scratch_verma(b, lam, depth):
+    p = lam.profile
+    top = lam
+    for beta in b.flipped_odd_roots():
+        top = top + beta.as_weight()
+    return _units(monomial(top, depth), odd_positive_roots(p), even_positive_roots(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([P(2, 1), P(2, 2), P(3, 1)]), st.data())
+def test_char_verma_is_the_cached_series_translated(p, data):
+    """Depths in a random order, so requests both rebuild the cache
+    (deeper) and cut it (shallower), for every Borel at random weights."""
+    depths = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=5))
+    coords = st.lists(st.integers(-5, 5), min_size=p.dim, max_size=p.dim)
+    with patch.dict(charring._VERMA_AT_ZERO, clear=True):
+        for i, depth in enumerate(depths):
+            for b in enumerate_borels(p):
+                lam = Weight(p, tuple(data.draw(coords)))
+                got, expected = char_verma(b, lam, depth), _from_scratch_verma(b, lam, depth)
+                assert got._levels == expected._levels
+                assert got.to_json_obj() == expected.to_json_obj()
+            assert charring._VERMA_AT_ZERO[p].depth == max(depths[: i + 1])
+
+
+def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    p = P(2, 2)
+    lam = weight_from_blocks(p, [3, 1], [0, -2])
+    for depth in (2, 5, 3):
+        assert char_verma(distinguished(p), lam, depth).depth == depth
+    assert list(charring._VERMA_AT_ZERO) == [p]
+    assert charring._VERMA_AT_ZERO[p].depth == 5
+
+
+def test_cached_verma_series_is_cross_checked(monkeypatch):
+    """One wrong coefficient in the cache, on its lowest level, is caught by
+    the product form of char_narrow and by the Euler identity."""
+    p, depth = P(3, 3), 6
+    lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    cached = charring._verma_at_zero(p, depth)
+    low = min(cached._levels)
+    terms = dict(cached._levels[low])
+    t = min(terms)
+    terms[t] += 1
+    levels = {**cached._levels, low: terms}
+    charring._VERMA_AT_ZERO[p] = FormalChar._make(p, cached.top, depth, levels)
+    with pytest.raises(ConsistencyError):
+        char_narrow(lam, depth)
+    try:
+        report = euler_check(lam, depth)
+    except ConsistencyError:
+        pass
+    else:
+        assert not report.equal
+
+
+def test_sweep_builds_the_verma_series_once(monkeypatch):
+    """All Verma characters of a sweep share a profile and a depth: a cold
+    cache costs one chain of unit factors, a warm one none."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(FormalChar, name)
+
+        def counting(self, beta, sign=1):
+            calls[name] += 1
+            return original(self, beta, sign)
+
+        return counting
+
+    for name in ("mul_unit", "div_unit"):
+        monkeypatch.setattr(FormalChar, name, counted(name))
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert character_shift_sweep(P(3, 3), trials=2, depth=4, seed=0).passed
+        counts.append((calls["mul_unit"], calls["div_unit"]))
+    assert counts == [(9, 6), (0, 0)]

@@ -36,7 +36,6 @@ def test_bench_tracer_hooks_name_live_callables():
 # Public names that nothing in the package calls, each kept for one reason.
 UNCALLED_BY_DESIGN = {
     "FormalChar.mul": "perfbench/tracer.py hooks it (RING_OUTPUTS)",
-    "FormalChar.retruncate": "perfbench/tracer.py hooks it (RING_OUTPUTS)",
     "weyl_group": "the tests' reference for weyl_window",
 }
 
