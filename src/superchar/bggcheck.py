@@ -27,7 +27,6 @@ from .charring import (
     char_verma,
 )
 from .rootdata import (
-    ConsistencyError,
     RankProfile,
     Root,
     Weight,
@@ -37,7 +36,6 @@ from .rootdata import (
     encode,
     even_positive_roots,
     reflection,
-    rho,
     rho_b,
     weight_from_blocks,
     weight_from_coords,
@@ -46,12 +44,11 @@ from .vermacalc import (
     VermaModule,
     antidistinguished_module,
     cone_weights_below,
-    coroot_pairing,
+    e_g1_apply,
     narrow_image_dims,
     primitive_space_dim,
     singular_vector_even,
     submodule_weight_ranks,
-    _odd_product_pairs,
 )
 
 SWEEP_MISMATCHES = 10
@@ -208,20 +205,16 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
     if not diagrams.is_g1_generic(lam):
         raise ValueError(f"{lam} is not g_-1-generic")
 
-    alpha = next(a for a in even_positive_roots(p))
-    s = reflection(alpha)
-    k = coroot_pairing(lam + rho(p), alpha)
-    if k <= 0:
-        raise ConsistencyError(f"coroot pairing {k} of a regular dominant weight is not positive")
-
+    (alpha,) = even_positive_roots(p)
     chi = char_simple_td(lam, depth)
     big = narrow_image_dims(lam, depth)
 
+    # X f^k v, the seed of N(s.lam) embedded in N(lam)'s ambient module
     module = antidistinguished_module(lam)
-    embedded = module.apply_word(_odd_product_pairs(p), module.lowered(alpha, k))
+    embedded = e_g1_apply(module, singular_vector_even(module, alpha))
     image = submodule_weight_ranks(module, [embedded], lam, depth)
 
-    s_lam = dot_action(s, lam)
+    s_lam = dot_action(reflection(alpha), lam)
     small = narrow_image_dims(s_lam, depth - (lam.xi - s_lam.xi))
 
     injective = True
@@ -336,10 +329,10 @@ def _suite_even_singular_vectors(depth: int, seed: int) -> tuple[bool, str]:
     p = RankProfile(2, 1)
     b0, alpha = distinguished(p), Root(p, 1, 2)
     for k in (1, 2, 3):
-        lam = weight_from_coords(p, [k, 0], [5])
+        module = VermaModule(b0, weight_from_coords(p, [k, 0], [5]))
         # the vector's annihilation and weight are checked where it is built
-        mu = singular_vector_even(b0, lam, alpha).weight
-        if primitive_space_dim(b0, lam, mu) != 1:
+        mu = singular_vector_even(module, alpha).weight
+        if primitive_space_dim(module, mu) != 1:
             return False, f"primitive space at k = {k} is not one-dimensional"
     return True, "gl(2|1) alpha = e1-e2, k in {1,2,3}"
 

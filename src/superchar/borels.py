@@ -21,6 +21,7 @@ Young lattice of the box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -112,30 +113,6 @@ def _seq(b: BorelElt) -> str:
     return "".join(out)
 
 
-def borel_from_seq(profile: RankProfile, seq: str) -> BorelElt:
-    """Accepts either the unicode symbols or the ascii fallback e/d."""
-    symbols = []
-    for ch in seq:
-        if ch in (EPS, "e", "E"):
-            symbols.append("e")
-        elif ch in (DELTA, "d", "D"):
-            symbols.append("d")
-        else:
-            raise ValueError(f"unexpected symbol {ch!r} in sequence")
-    if symbols.count("e") != profile.m or symbols.count("d") != profile.n:
-        raise ValueError(
-            f"sequence needs {profile.m} eps and {profile.n} delta symbols"
-        )
-    counts = []
-    deltas = 0
-    for ch in symbols:
-        if ch == "d":
-            deltas += 1
-        else:
-            counts.append(deltas)
-    return borel(profile, sorted(counts, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _shuffle(b: BorelElt) -> tuple[int, ...]:
     """tau with tau(i) = sequence position of basis vector i (1-based)."""
@@ -205,27 +182,12 @@ def enumerate_borels(profile: RankProfile) -> list[BorelElt]:
         raise EnumerationBound(
             f"|L({profile.m},{profile.n})| = {count} exceeds bound {DEFAULT_BOREL_BOUND}"
         )
-    parts_list = _box_partitions(profile.m, profile.n)
+    # every weakly decreasing m-tuple over n..0: the partitions in the box
+    parts_list = itertools.combinations_with_replacement(range(profile.n, -1, -1), profile.m)
     return sorted(
         (borel(profile, p) for p in parts_list),
         key=lambda b: (b.box_count(), b.partition),
     )
-
-
-def _box_partitions(m: int, n: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, last):
-        out.append(tuple(prefix))
-        if len(prefix) == m:
-            return
-        for p in range(1, last + 1):
-            prefix.append(p)
-            rec(prefix, p)
-            prefix.pop()
-
-    rec([], n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +197,24 @@ def _box_partitions(m: int, n: int) -> list[tuple[int, ...]]:
 def odd_reflection(b: BorelElt, alpha: Root) -> BorelElt:
     """Replace the odd simple root alpha by -alpha.
 
-    The positive system changes only at alpha; the partition gains a box
+    The positive system changes only at alpha, whose two symbols sit next
+    to each other in the sequence and swap.  The partition gains a box
     when alpha runs from the eps block to the delta block and loses one
-    otherwise.
+    otherwise.  The part that moves is that of alpha's eps symbol: eps_k
+    is the (m - k + 1)-th eps from the right, so it is part m - k, counted
+    from 0.
     """
     if not alpha.is_odd:
         raise ValueError(f"{alpha} is not odd")
-    tau = _shuffle(b)
-    simples = _simple_roots(b)
-    if alpha not in simples:
+    if alpha not in _simple_roots(b):
         raise ValueError(f"{alpha} is not a simple root of {b}")
-    pos = tau[alpha.i - 1]  # alpha.j sits at pos + 1
-    s = _seq(b)
-    swapped = s[: pos - 1] + s[pos] + s[pos - 1] + s[pos + 1:]
-    return borel_from_seq(b.profile, swapped)
+    m = b.profile.m
+    parts = list(b.partition) + [0] * (m - len(b.partition))
+    if alpha.i <= m:  # eps_i delta -> delta eps_i
+        parts[m - alpha.i] += 1
+    else:  # delta eps_j -> eps_j delta
+        parts[m - alpha.j] -= 1
+    return borel(b.profile, parts)
 
 
 @dataclass(frozen=True)

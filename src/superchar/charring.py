@@ -30,10 +30,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Mapping, ValuesView
-from functools import lru_cache
 from operator import add, sub
 
 from . import diagrams
+from .borels import distinguished
 from .rootdata import (
     ConsistencyError,
     ProfileMismatch,
@@ -460,19 +460,12 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
             stacklevel=2,
         )
     gamma = atypicality(lam).gamma
-    quotient = _units(char_verma(_dist(p), lam, depth), atypical=_by_index(gamma))
+    quotient = _units(char_verma(distinguished(p), lam, depth), atypical=_by_index(gamma))
     odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
     product = _units(monomial(lam, depth), odd, even_positive_roots(p))
     if not quotient.equals(product):
         raise ConsistencyError("narrow character: quotient and product forms disagree")
     return product
-
-
-@lru_cache(maxsize=None)
-def _dist(profile: RankProfile):
-    from .borels import distinguished
-
-    return distinguished(profile)
 
 
 def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:

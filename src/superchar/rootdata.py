@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -477,28 +478,6 @@ def classify(lam: Weight) -> WeightFlags:
 # Atypicality
 
 
-def _max_bipartite_matching(edges: set[tuple[int, int]], m: int, n: int) -> int:
-    """Kuhn's augmenting-path matching on a tiny m x n bipartite graph."""
-    adj = {i: [j for j in range(1, n + 1) if (i, j) in edges] for i in range(1, m + 1)}
-    match_right: dict[int, int] = {}
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_right or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(1, m + 1):
-        if augment(i, set()):
-            size += 1
-    return size
-
-
 @dataclass(frozen=True)
 class Atypicality:
     aty: int
@@ -514,16 +493,21 @@ def atypicality(lam: Weight, borel=None) -> Atypicality:
     transported highest weights of one simple module.  `gamma` is always
     the distinguished-Borel atypical set {beta odd positive :
     (lam + rho, beta) = 0}.
+
+    `aty` is a count, not a matching search.  Let e be the eps block of
+    the coefficients of lam + rho^b and d its negated delta block.  Then
+    (lam + rho^b, eps_i - delta_j) = e_i - d_j, and two distinct odd roots
+    eps_i - delta_j, eps_k - delta_l are orthogonal exactly when i != k
+    and j != l.  So `aty` is a maximum matching in the bipartite graph with
+    an edge i -- j when e_i = d_j.  Equality makes that graph a disjoint
+    union of complete bipartite blocks, one per value v, and a complete
+    block matches min(#{i : e_i = v}, #{j : d_j = v}) pairs.  The sum of
+    these minima over v is the size of the multiset intersection of e and d.
     """
     p = lam.profile
-    shift = rho(p) if borel is None else rho_b(borel)
-    shifted = lam + shift
-    edges = {
-        (beta.i, beta.j - p.m)
-        for beta in odd_positive_roots(p)
-        if pairing(shifted, beta.as_weight()) == 0
-    }
-    aty = _max_bipartite_matching(edges, p.m, p.n)
+    shifted = lam + (rho(p) if borel is None else rho_b(borel))
+    c = shifted.coeffs
+    aty = sum((Counter(c[: p.m]) & Counter(-x for x in c[p.m:])).values())
     base = lam + rho(p)
     gamma = frozenset(
         beta for beta in odd_positive_roots(p) if pairing(base, beta.as_weight()) == 0

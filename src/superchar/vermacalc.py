@@ -16,8 +16,11 @@ the elements it produces and the row reduction of their coordinates
 use no rationals.
 
 An element's weight is read off its first monomial.  Homogeneity is
-checked at the boundary: by `VermaModule.element`, by `+`, and by
-`coordinates`, which every element passes before it reaches a row basis.
+checked at the boundary: by `VermaModule.element`, and by `coordinates`,
+which every element passes before it reaches a row basis.  Every Verma
+vector the package names is built here, in the module it is given:
+`singular_vector_even` lowers the highest vector, and `e_g1_apply` applies
+the odd product.
 A submodule generated by a vector that the distinguished raisers kill is
 the image of a distinguished Verma module, so its ranks come from one
 memoised `apply` per source PBW monomial, whose weight is known before
@@ -290,26 +293,6 @@ class VermaElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "VermaElement") -> "VermaElement":
-        if self.module is not other.module:
-            raise ValueError("elements of different modules")
-        if self.terms and other.terms and self.weight != other.weight:
-            raise ValueError("inhomogeneous combination of monomials")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m, 0) + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
-        return VermaElement(self.module, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "VermaElement":
-        return VermaElement(self.module, {m: c * v for m, v in self.terms.items()})
-
     def __repr__(self):
         parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
         return f"VermaElement({' + '.join(parts) or '0'})"
@@ -328,18 +311,19 @@ def coroot_pairing(shifted: Weight, alpha: Root) -> int:
     return 2 * value // norm
 
 
-def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root) -> VermaElement:
-    """E_{-alpha}^k v for k = <lam + rho^b, alpha^vee>, a positive integer.
+def singular_vector_even(module: VermaModule, alpha: Root) -> VermaElement:
+    """E_{-alpha}^k v in M^b(lam) for k = <lam + rho^b, alpha^vee>, a
+    positive integer.
 
     The result is checked, not trusted: every simple raising generator of
-    the Borel must annihilate it.
+    the Borel must annihilate it, and its weight must be s_alpha .b lam.
     """
+    borel, lam = module.borel, module.lam
     if alpha not in borel.simple_roots() or alpha.is_odd:
         raise ValueError(f"{alpha} is not an even simple root of {borel}")
     k = coroot_pairing(lam + rho_b(borel), alpha)
     if k <= 0:
         raise ValueError(f"coroot pairing is {k}, not a positive integer")
-    module = VermaModule(borel, lam)
     vec = module.lowered(alpha, k)
     for simple in borel.simple_roots():
         image = module.apply((simple.i, simple.j), vec)
@@ -352,19 +336,18 @@ def singular_vector_even(borel: BorelElt, lam: Weight, alpha: Root) -> VermaElem
 
 
 def primitive_space_dim(
-    ambient_borel: BorelElt,
-    ambient_weight: Weight,
+    module: VermaModule,
     target_weight: Weight,
     annihilating_borel: BorelElt | None = None,
 ) -> int:
-    """Dimension of the vectors at target_weight killed by a Borel's raisers.
+    """Dimension of the vectors of the module at target_weight killed by a
+    Borel's raisers, the module's own Borel when none is given.
 
     Equals the dimension of homomorphisms from the Verma at target_weight
-    (for the annihilating Borel) into the ambient Verma module.
+    (for the annihilating Borel) into the module.
     """
-    module = VermaModule(ambient_borel, ambient_weight)
     if annihilating_borel is None:
-        annihilating_borel = ambient_borel
+        annihilating_borel = module.borel
     monos = module.weight_space_monomials(target_weight)
     if not monos:
         return 0
@@ -386,27 +369,24 @@ def primitive_space_dim(
 # The odd-product generator of the narrow submodule
 
 
-def _odd_product_pairs(profile: RankProfile):
-    return tuple((beta.i, beta.j) for beta in odd_positive_roots(profile))
-
-
 def antidistinguished_module(lam: Weight) -> VermaModule:
     """M^{(n^m)}(lam - 2 rho1), the ambient of the narrow submodule at lam."""
     p = lam.profile
     return VermaModule(antidistinguished(p), lam - rho1_doubled_distinguished(p))
 
 
-def e_g1_apply(lam: Weight, module: VermaModule | None = None) -> VermaElement:
-    """X v: the product X of all distinguished-positive odd root vectors
-    applied to the anti-distinguished highest vector v; a single monomial
-    of weight lam.
+def e_g1_apply(module: VermaModule, vec: VermaElement) -> VermaElement:
+    """X vec: the product X of all distinguished-positive odd root vectors,
+    applied to vec.  The result must be nonzero, of weight vec.weight +
+    2 rho1, or ConsistencyError is raised.  On the highest vector v of
+    `antidistinguished_module(lam)`, X v is a single monomial of weight lam.
 
     The order of the factors matters only up to sign.  Each factor is
     E_{i,a} with i <= m < a, and
     [E_{i,a}, E_{k,b}] = d_{ak} E_{i,b} + d_{bi} E_{k,a} = 0 as a, b > m >= i, k:
     g_{+1} of the distinguished Borel is abelian, so the factors
     anticommute and each squares to zero.  Reordering X changes it only
-    by the sign of the permutation.
+    by the sign of the permutation, and X X = 0.
 
     X commutes with every even lowering vector f = E_{j,i} (i < j in one
     block).  ad f sends each factor to 0 or to plus or minus another
@@ -415,12 +395,11 @@ def e_g1_apply(lam: Weight, module: VermaModule | None = None) -> VermaElement:
     [f, X] repeats a factor and vanishes, and f^k X v = X f^k v exactly:
     the even embedding and the odd product give one canonical map.
     """
-    if module is None:
-        module = antidistinguished_module(lam)
-    vec = module.apply_word(_odd_product_pairs(lam.profile), module.highest_vector())
-    if vec.is_zero() or vec.weight != lam:
-        raise ConsistencyError(f"odd product of weight {vec.weight} does not reach {lam}")
-    return vec
+    p = module.profile
+    out = module.apply_word([(beta.i, beta.j) for beta in odd_positive_roots(p)], vec)
+    if out.is_zero() or out.weight != vec.weight + rho1_doubled_distinguished(p):
+        raise ConsistencyError(f"odd product of {vec} is {out}, not nonzero of weight + 2 rho1")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,5 +524,5 @@ def narrow_image_dims(lam: Weight, depth: int) -> dict[Weight, int]:
     vector inside the anti-distinguished Verma module, on the window below lam."""
     module = antidistinguished_module(lam)
     # a lazy seed: the window's cell bound is checked before it is built
-    seeds = map(e_g1_apply, [lam], [module])
+    seeds = map(e_g1_apply, [module], [module.highest_vector()])
     return submodule_weight_ranks(module, seeds, lam, depth)

@@ -34,7 +34,7 @@ from superchar.rootdata import (
     weight_from_coords,
     weyl_group,
 )
-from superchar.vermacalc import primitive_space_dim, singular_vector_even
+from superchar.vermacalc import VermaModule, primitive_space_dim, singular_vector_even
 
 
 def P(m, n):
@@ -165,11 +165,12 @@ def test_criterion_07_singular_vectors():
         for k in (1, 2, 3):
             eps, delta = coords_maker(k)
             lam = weight_from_coords(p, eps, delta)
+            module = VermaModule(b0, lam)
             # construction checks annihilation by every simple raiser
-            vec = singular_vector_even(b0, lam, alpha)
+            vec = singular_vector_even(module, alpha)
             mu = dot_action(reflection(alpha), lam, b0)
             assert vec.weight == mu
-            assert primitive_space_dim(b0, lam, mu) == 1
+            assert primitive_space_dim(module, mu) == 1
             checks += 1
     assert checks == 9
     elapsed = time.perf_counter() - start

@@ -8,7 +8,6 @@ from superchar.borels import (
     BorelElt,
     antidistinguished,
     borel,
-    borel_from_seq,
     borel_graph,
     distinguished,
     enumerate_borels,
@@ -70,9 +69,13 @@ def test_views_round_trip_up_to_5_5():
         for n in range(1, 6):
             p = P(m, n)
             for b in enumerate_borels(p):
-                assert borel_from_seq(p, b.seq()) == b
-                assert borel_from_seq(p, b.seq_ascii()) == b
-                assert sorted(b.seq_ascii()) == ["d"] * n + ["e"] * m
+                # k-th part = deltas to the left of the k-th eps from the right
+                seq = b.seq_ascii()
+                eps_at = [pos for pos, ch in enumerate(seq) if ch == "e"][::-1]
+                parts = tuple(seq[:pos].count("d") for pos in eps_at)
+                assert b.partition == tuple(part for part in parts if part)
+                assert b.seq() == seq.replace("e", "ε").replace("d", "δ")
+                assert sorted(seq) == ["d"] * n + ["e"] * m
 
 
 def test_positive_system_sizes_and_even_part():

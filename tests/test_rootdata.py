@@ -355,12 +355,16 @@ def test_atypicality_examples():
 
 
 def test_atypicality_matches_brute_force():
+    # every Borel, the distinguished one also as the default
     rng = random.Random(23)
     for m, n in [(2, 1), (2, 2), (3, 2)]:
         p = P(m, n)
+        borels = enumerate_borels(p)
         for _ in range(30):
             lam = random_weight(rng, p, -3, 3)
             assert atypicality(lam).aty == brute_force_atypicality(lam, None)
+            for b in borels:
+                assert atypicality(lam, b).aty == brute_force_atypicality(lam, b)
 
 
 def test_atypicality_invariant_under_verma_transport():

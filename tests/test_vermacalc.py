@@ -34,7 +34,6 @@ from superchar.rootdata import (
 )
 from superchar.vermacalc import (
     VermaModule,
-    _odd_product_pairs,
     antidistinguished_module,
     cone_weights_below,
     coroot_pairing,
@@ -55,6 +54,21 @@ def P(m, n):
 def all_pairs(p):
     d = p.dim
     return [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+
+
+def odd_pairs(p):
+    """The factors of the odd product X, in its canonical order."""
+    return [(beta.i, beta.j) for beta in odd_positive_roots(p)]
+
+
+def combination(module, *scaled):
+    """The element sum of c * elem over the (c, elem) pairs, checked
+    homogeneous by `VermaModule.element`."""
+    out: dict = {}
+    for c, elem in scaled:
+        for mono, v in elem.terms.items():
+            out[mono] = out.get(mono, 0) + c * v
+    return module.element(out)
 
 
 # -- structure constants ------------------------------------------------------
@@ -270,9 +284,6 @@ def test_element_rejects_mixed_weights():
         module.element({(0, 0, 0): 1, (0, 1, 0): 1})
     with pytest.raises(TypeError, match="not an integer"):
         module.element({(0, 1, 0): Fraction(1, 2)})
-    with pytest.raises(ValueError, match="inhomogeneous"):
-        module.element({(0, 0, 1): 1}) + module.element({(0, 1, 0): 1})
-    assert (module.element({}) + elem).terms == elem.terms
 
 
 def test_pbw_coefficients_are_integers():
@@ -349,13 +360,13 @@ def test_module_axiom_random_triples():
             x, y = rng.choice(pairs), rng.choice(pairs)
             v = rng.choice([s for s in seeds if not s.is_zero()])
             sign = -1 if pair_parity(p, x) and pair_parity(p, y) else 1
-            lhs = module.element({})
-            for c, z in supercommutator(p, x, y):
-                lhs = lhs + module.apply(z, v).scale(c)
-            rhs = module.apply(x, module.apply(y, v)) - module.apply(
-                y, module.apply(x, v)
-            ).scale(sign)
-            assert (lhs - rhs).is_zero()
+            difference = combination(
+                module,
+                *((c, module.apply(z, v)) for c, z in supercommutator(p, x, y)),
+                (-1, module.apply(x, module.apply(y, v))),
+                (sign, module.apply(y, module.apply(x, v))),
+            )
+            assert difference.is_zero()
             checks += 1
     assert checks == 300
 
@@ -369,7 +380,7 @@ def test_singular_vector_shapes():
     alpha = Root(p, 1, 2)
     for k in (1, 2, 3):
         lam = weight_from_coords(p, [k, 0], [5])
-        v = singular_vector_even(b0, lam, alpha)
+        v = singular_vector_even(VermaModule(b0, lam), alpha)
         assert list(v.terms) == [(k, 0, 0)]
         assert v.weight == dot_action(reflection(alpha), lam, b0)
 
@@ -380,7 +391,7 @@ def test_singular_vector_delta_block():
     alpha = Root(p, 3, 4)
     for k in (1, 2, 3):
         lam = weight_from_coords(p, [9, 1], [0, k])
-        v = singular_vector_even(b0, lam, alpha)
+        v = singular_vector_even(VermaModule(b0, lam), alpha)
         assert not v.is_zero()
         assert v.weight == dot_action(reflection(alpha), lam, b0)
 
@@ -389,7 +400,7 @@ def test_singular_vector_rejects_nonpositive_pairing():
     p = P(2, 1)
     with pytest.raises(ValueError):
         singular_vector_even(
-            distinguished(p), weight_from_coords(p, [0, 3], [5]), Root(p, 1, 2)
+            VermaModule(distinguished(p), weight_from_coords(p, [0, 3], [5])), Root(p, 1, 2)
         )
 
 
@@ -397,10 +408,11 @@ def test_primitive_space_dims():
     p = P(2, 1)
     b0 = distinguished(p)
     lam = weight_from_coords(p, [2, 0], [5])
-    assert primitive_space_dim(b0, lam, lam) == 1
+    module = VermaModule(b0, lam)
+    assert primitive_space_dim(module, lam) == 1
     alpha = Root(p, 1, 2)
     mu = dot_action(reflection(alpha), lam, b0)
-    assert primitive_space_dim(b0, lam, mu) == 1
+    assert primitive_space_dim(module, mu) == 1
 
 
 def test_primitive_space_dim_verma_transport():
@@ -411,10 +423,10 @@ def test_primitive_space_dim_verma_transport():
         borels = enumerate_borels(p)
         for _ in range(4):
             lam = Weight(p, tuple(rng.randint(-3, 3) for _ in range(p.dim)))
-            for b in borels:
-                for b2 in borels:
-                    mu = lam - rho_b(b)
-                    dim = primitive_space_dim(b2, lam - rho_b(b2), mu, annihilating_borel=b)
+            for b2 in borels:
+                module = VermaModule(b2, lam - rho_b(b2))
+                for b in borels:
+                    dim = primitive_space_dim(module, lam - rho_b(b), annihilating_borel=b)
                     assert dim == 1
 
 
@@ -425,7 +437,8 @@ def test_e_g1_single_monomial():
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         p = P(m, n)
         lam = weight_from_blocks(p, [1] * m, [-1] * n)
-        v = e_g1_apply(lam)
+        module = antidistinguished_module(lam)
+        v = e_g1_apply(module, module.highest_vector())
         assert v.weight == lam
         assert len(v.terms) == 1
         coeff = next(iter(v.terms.values()))
@@ -448,12 +461,42 @@ def test_e_g1_order_independence():
     for lam in odd_product_cases():
         p = lam.profile
         module = antidistinguished_module(lam)
-        base = e_g1_apply(lam, module)
-        pairs = _odd_product_pairs(p)
+        base = e_g1_apply(module, module.highest_vector())
+        pairs = odd_pairs(p)
         for order in itertools.permutations(range(len(pairs))):
             inversions = sum(a > b for a, b in itertools.combinations(order, 2))
             other = module.apply_word([pairs[k] for k in order], module.highest_vector())
-            assert other.terms == base.scale((-1) ** inversions).terms
+            assert combination(module, (1, other), (-(-1) ** inversions, base)).is_zero()
+
+
+def test_e_g1_squares_to_zero():
+    # X X = 0, so applying the odd product twice is refused
+    for lam in odd_product_cases():
+        module = antidistinguished_module(lam)
+        once = e_g1_apply(module, module.highest_vector())
+        with pytest.raises(ConsistencyError, match="odd product"):
+            e_g1_apply(module, once)
+
+
+def test_embedded_seed_matches_hand_built():
+    # at the weights of acceptance criterion 10, the seed of
+    # small_rank_exactness, built by the two checked builders, is the odd
+    # product applied by hand after E_{-alpha}^k with k = <lam + rho, alpha^vee>
+    cases = [
+        weight_from_coords(P(2, 1), [3, 0], [3]),
+        weight_from_coords(P(2, 1), [3, 0], [7]),
+        weight_from_coords(P(1, 2), [3], [0, 3]),
+        weight_from_coords(P(1, 2), [9], [0, 4]),
+    ]
+    for lam in cases:
+        p = lam.profile
+        (alpha,) = even_positive_roots(p)
+        module = antidistinguished_module(lam)
+        k = coroot_pairing(lam + rho(p), alpha)
+        hand_built = module.apply_word(odd_pairs(p), module.lowered(alpha, k))
+        seed = e_g1_apply(module, singular_vector_even(module, alpha))
+        assert not seed.is_zero() and seed.terms == hand_built.terms
+        assert seed.weight == dot_action(reflection(alpha), lam)
 
 
 # -- narrow submodule ranks ----------------------------------------------------------
@@ -513,15 +556,14 @@ def test_verma_image_matches_closure(lam, depth):
     assert flags.regular and flags.dominant
     p = lam.profile
     module = antidistinguished_module(lam)
-    assert narrow_image_dims(lam, depth) == closure_ranks(module, [e_g1_apply(lam, module)], lam, depth)
+    seed = e_g1_apply(module, module.highest_vector())
+    assert narrow_image_dims(lam, depth) == closure_ranks(module, [seed], lam, depth)
     # the seed of small_rank_exactness, the odd product after E_{-alpha}^k,
     # for every even simple root alpha
-    odd_pairs = [(beta.i, beta.j) for beta in odd_positive_roots(p)]
     for alpha in distinguished(p).simple_roots():
         if alpha.is_odd:
             continue
-        k = coroot_pairing(lam + rho(p), alpha)
-        embedded = module.apply_word(odd_pairs, module.lowered(alpha, k))
+        embedded = e_g1_apply(module, singular_vector_even(module, alpha))
         ranks = submodule_weight_ranks(module, [embedded], lam, depth)
         assert ranks == closure_ranks(module, [embedded], lam, depth)
 
@@ -623,7 +665,7 @@ def test_closure_straightens_only_inside_window(monkeypatch):
     # image leaves the window
     lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
     module = antidistinguished_module(lam)
-    seed = e_g1_apply(lam, module)
+    seed = e_g1_apply(module, module.highest_vector())
     expected = closure_ranks(module, [seed], lam, 4)
     calls = []
     apply = VermaModule.apply
@@ -655,7 +697,7 @@ def test_non_singular_seed_is_refused():
 def test_cell_bound_fires_before_singularity_check(monkeypatch):
     lam = weight_from_coords(P(2, 1), [3, 0], [3])
     module = antidistinguished_module(lam)
-    seed = e_g1_apply(lam, module)
+    seed = e_g1_apply(module, module.highest_vector())
     cells = sum(len(module.weight_space_monomials(nu)) for nu in cone_weights_below(lam, 3))
 
     def no_straightening(*args):
@@ -701,13 +743,14 @@ def test_bgg_square_check():
     for lam in odd_product_cases():
         p = lam.profile
         module = antidistinguished_module(lam)
-        odd = _odd_product_pairs(p)
+        odd = odd_pairs(p)
+        top = e_g1_apply(module, module.highest_vector())
         for alpha in even_positive_roots(p):
             k = coroot_pairing(lam + rho(p), alpha)
             if k <= 0:
                 continue
             route_a = module.apply_word(odd, module.lowered(alpha, k))
-            route_b = module.apply_word([(alpha.j, alpha.i)] * k, e_g1_apply(lam, module))
+            route_b = module.apply_word([(alpha.j, alpha.i)] * k, top)
             assert not route_b.is_zero() and route_a.terms == route_b.terms
             cases += 1
     assert cases == 7
