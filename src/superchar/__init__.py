@@ -2,7 +2,6 @@
 
 from .rootdata import (
     Atypicality,
-    Coords,
     EnumerationBound,
     ProfileMismatch,
     RankProfile,
@@ -12,7 +11,6 @@ from .rootdata import (
     atypicality,
     ber,
     classify,
-    decode,
     dot_action,
     encode,
     pairing,

@@ -62,7 +62,7 @@ EULER_SCOPE_NOTE = (
 def _report_obj(check: str, lam: Weight, depth: int, passed: bool, details: dict) -> dict:
     """The JSON shape of a check run at one weight and depth."""
     return {"check": check, "profile": [lam.profile.m, lam.profile.n],
-            "lambda_coords": list(encode(lam).values), "depth": depth,
+            "lambda_coords": list(encode(lam)), "depth": depth,
             "pass": passed, "details": details}
 
 
@@ -136,7 +136,16 @@ def character_shift_sweep(
 ) -> SweepReport:
     """Verma characters shifted by their own rho-vector agree for every
     ordered pair of Borels; SWEEP_MISMATCHES deliberately mis-shifted pairs
-    must differ."""
+    must differ.
+
+    `char_verma(b, mu)` is the cached ch M(0) translated to mu plus the
+    odd roots b flips, so with mu = lam - rho^b every chart of a trial is
+    that one series translated to lam - rho.  The pair equalities thus
+    check the shift rho^b = rho + (flipped odd roots), not the series
+    ring.  What checks more is the coefficient 1 of every chart at each
+    lam - rho^b, the mismatches, and `verma_count_check`, which counts
+    PBW monomials on its own route.
+    """
     rng = random.Random(seed)
     borels = enumerate_borels(profile)
 

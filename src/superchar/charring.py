@@ -43,7 +43,6 @@ from .rootdata import (
     atypicality,
     classify,
     even_positive_roots,
-    is_even_dominant,
     odd_positive_roots,
     weyl_window,
     zero_weight,
@@ -233,12 +232,6 @@ class FormalChar:
                 del out[level]
         return FormalChar._make(self.profile, top, top.xi - floor, out)
 
-    def __sub__(self, other: "FormalChar") -> "FormalChar":
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, k: int) -> "FormalChar":
         out = {}
         if k:
@@ -266,15 +259,6 @@ class FormalChar:
                         _add_into(dst, tuple(map(add, ka, kb)), va * vb)
         out = {level: terms for level, terms in out.items() if terms}
         return FormalChar._make(self.profile, top, depth, out)
-
-    def __mul__(self, other):
-        if isinstance(other, FormalChar):
-            return self.mul(other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def _unit_step(self, beta) -> tuple[tuple[int, ...], int]:
         """(coefficient tuple, xi level) of a cone-positive unit exponent."""
@@ -433,7 +417,10 @@ def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """Weyl's formula for the even subalgebra: the alternating sum of
     e^{w.mu} over the Weyl window, divided once by prod (1-e^{-gamma}).
     `dot_action` is the usual one, as W fixes rho - rho0."""
-    if not is_even_dominant(mu):
+    # rho steps by one inside each block, so both coefficient blocks of mu
+    # weakly decrease exactly when its coordinates are strictly ordered
+    flags = classify(mu)
+    if not (flags.regular and flags.dominant):
         raise ValueError(f"{mu} is not dominant for the even subalgebra")
     signs = Counter()
     for w, nu in weyl_window(mu, depth):

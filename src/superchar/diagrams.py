@@ -61,9 +61,6 @@ class WeightDiagram:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(p for p, _ in self.entries))
 
-    def __str__(self):
-        return render_ascii(self)
-
 
 def weight_diagram(lam: Weight) -> WeightDiagram:
     """Diagram of a regular dominant weight; anything else is rejected."""
@@ -73,7 +70,7 @@ def weight_diagram(lam: Weight) -> WeightDiagram:
     if not flags.dominant:
         raise ValueError(f"{lam} is not dominant; it has no weight diagram")
     c = encode(lam)
-    eps, delta = set(c.eps_block), set(c.delta_block)
+    eps, delta = set(c[: lam.profile.m]), set(c[lam.profile.m:])
     entries = []
     for p in sorted(eps | delta):
         if p in eps and p in delta:
@@ -115,8 +112,9 @@ def _generic_brute(lam: Weight) -> bool:
             f"brute genericity needs 2^{len(odd)} subsets, over the bound {DEFAULT_SUBSET_BOUND}"
         )
     c = encode(lam)
-    base_eps = _ordering_pattern(c.eps_block)
-    base_delta = _ordering_pattern(c.delta_block)
+    coord_eps, coord_delta = c[: p.m], c[p.m:]
+    base_eps = _ordering_pattern(coord_eps)
+    base_delta = _ordering_pattern(coord_delta)
     if base_eps is None or base_delta is None:
         return False
     for mask in itertools.product((0, 1), repeat=len(odd)):
@@ -126,8 +124,8 @@ def _generic_brute(lam: Weight) -> bool:
             if flag:
                 rows[beta.i - 1] += 1
                 cols[beta.j - p.m - 1] += 1
-        eps = tuple(v - r for v, r in zip(c.eps_block, rows))
-        delta = tuple(v - r for v, r in zip(c.delta_block, cols))
+        eps = tuple(v - r for v, r in zip(coord_eps, rows))
+        delta = tuple(v - r for v, r in zip(coord_delta, cols))
         if _ordering_pattern(eps) != base_eps or _ordering_pattern(delta) != base_delta:
             return False
     return True
@@ -136,7 +134,7 @@ def _generic_brute(lam: Weight) -> bool:
 def _generic_fast(lam: Weight) -> bool:
     p = lam.profile
     c = encode(lam)
-    for block, cap in ((c.eps_block, p.n), (c.delta_block, p.m)):
+    for block, cap in ((c[: p.m], p.n), (c[p.m:], p.m)):
         for a in range(len(block)):
             for b in range(a + 1, len(block)):
                 if abs(block[a] - block[b]) <= cap:
@@ -164,8 +162,6 @@ _ASCII = {CROSS: "x", CIRCLE: "o", VEE: "v", WEDGE: "^"}
 def render_ascii(d: WeightDiagram) -> str:
     """One character per integer from one below the lowest entry to one
     above the highest; wedges fill the gaps."""
-    if not d.entries:
-        return "(empty diagram)"
     positions = [p for p, _ in d.entries]
     lo, hi = min(positions) - 1, max(positions) + 1
     line = "".join(_ASCII[d.label(q)] for q in range(lo, hi + 1))

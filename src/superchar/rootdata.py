@@ -14,8 +14,11 @@ Conventions everything downstream relies on:
   to every root, so no pairing against a root ever sees the
   difference (asserted as an invariant, not hidden).
 * The coordinates of an integral weight are lam_i = (lam + rho, eps_i)
-  for i = 1..m+n.  Regularity, dominance, atypicality and weight
-  diagrams are all read off these.
+  for i = 1..m+n: the coefficients of lam + rho with the delta block
+  negated.  `encode` returns them as one integer tuple and
+  `weight_from_coords` inverts it; nothing else forms or reads lam + rho
+  this way.  Regularity, dominance, atypicality, weight diagrams and
+  genericity are all read off that tuple, sliced at m.
 * For a Borel b, rho^b = rho + (rho1^{()} - rho1^b).  Then
   rho^{()} = rho exactly and rho^{r_a b} = rho^b + a on the nose for
   every odd reflection at a.
@@ -394,58 +397,28 @@ def weyl_window(lam: Weight, depth: int) -> list[tuple[WeylElt, Weight]]:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate encoding
+# Coordinates
 
 
-@dataclass(frozen=True, slots=True)
-class Coords:
-    """The tuple lam_i = (lam + rho, eps_i), i = 1..m+n."""
+def encode(lam: Weight) -> tuple[int, ...]:
+    """The coordinates (lam + rho, eps_i), i = 1..m+n: the coefficients of
+    lam + rho with the delta block negated, as one tuple.
 
-    profile: RankProfile
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.profile.dim:
-            raise ValueError("coordinate length does not match the profile")
-
-    @property
-    def eps_block(self) -> tuple[int, ...]:
-        return self.values[: self.profile.m]
-
-    @property
-    def delta_block(self) -> tuple[int, ...]:
-        return self.values[self.profile.m:]
-
-    def __str__(self):
-        e = ",".join(map(str, self.eps_block))
-        d = ",".join(map(str, self.delta_block))
-        return f"({e}|{d})"
-
-
-def encode(lam: Weight) -> Coords:
-    shifted = lam + rho(lam.profile)
+    This and its inverse `weight_from_coords` are the only places that know
+    the convention; every predicate on a weight slices this tuple at m.
+    """
     m = lam.profile.m
-    values = shifted.coeffs[:m] + tuple(-c for c in shifted.coeffs[m:])
-    return Coords(lam.profile, values)
-
-
-def decode(c: Coords) -> Weight:
-    r = rho(c.profile)
-    m = c.profile.m
-    eps = tuple(c.values[i] - r.coeffs[i] for i in range(m))
-    delta = tuple(-c.values[m + j] - r.coeffs[m + j] for j in range(c.profile.n))
-    return Weight(c.profile, eps + delta)
-
-
-def coords(profile: RankProfile, eps_values, delta_values) -> Coords:
-    eps_values, delta_values = tuple(eps_values), tuple(delta_values)
-    if len(eps_values) != profile.m or len(delta_values) != profile.n:
-        raise ValueError("coordinate block lengths do not match the profile")
-    return Coords(profile, eps_values + delta_values)
+    shifted = tuple(map(operator.add, lam.coeffs, rho(lam.profile).coeffs))
+    return shifted[:m] + tuple(-c for c in shifted[m:])
 
 
 def weight_from_coords(profile: RankProfile, eps_values, delta_values) -> Weight:
-    return decode(coords(profile, eps_values, delta_values))
+    """The weight whose `encode` is eps_values + delta_values."""
+    eps_values, delta_values = tuple(eps_values), tuple(delta_values)
+    if len(eps_values) != profile.m or len(delta_values) != profile.n:
+        raise ValueError("coordinate block lengths do not match the profile")
+    values = eps_values + tuple(-c for c in delta_values)
+    return Weight(profile, tuple(map(operator.sub, values, rho(profile).coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +429,17 @@ def weight_from_coords(profile: RankProfile, eps_values, delta_values) -> Weight
 class WeightFlags:
     regular: bool
     dominant: bool
-    antidominant: bool
 
 
 def classify(lam: Weight) -> WeightFlags:
     """Regular: no ties within a block.  Dominant: eps block weakly
-    decreasing, delta block weakly increasing.  Antidominant: the reverse."""
+    decreasing, delta block weakly increasing."""
+    m = lam.profile.m
     c = encode(lam)
-    e, d = c.eps_block, c.delta_block
+    e, d = c[:m], c[m:]
     regular = len(set(e)) == len(e) and len(set(d)) == len(d)
-    dominant = all(e[k] >= e[k + 1] for k in range(len(e) - 1)) and all(
-        d[k] <= d[k + 1] for k in range(len(d) - 1)
-    )
-    antidominant = all(e[k] <= e[k + 1] for k in range(len(e) - 1)) and all(
-        d[k] >= d[k + 1] for k in range(len(d) - 1)
-    )
-    return WeightFlags(regular, dominant, antidominant)
+    dominant = all(map(operator.ge, e, e[1:])) and all(map(operator.le, d, d[1:]))
+    return WeightFlags(regular, dominant)
 
 
 # ---------------------------------------------------------------------------
@@ -494,30 +462,23 @@ def atypicality(lam: Weight, borel=None) -> Atypicality:
     the distinguished-Borel atypical set {beta odd positive :
     (lam + rho, beta) = 0}.
 
-    `aty` is a count, not a matching search.  Let e be the eps block of
-    the coefficients of lam + rho^b and d its negated delta block.  Then
-    (lam + rho^b, eps_i - delta_j) = e_i - d_j, and two distinct odd roots
-    eps_i - delta_j, eps_k - delta_l are orthogonal exactly when i != k
-    and j != l.  So `aty` is a maximum matching in the bipartite graph with
-    an edge i -- j when e_i = d_j.  Equality makes that graph a disjoint
-    union of complete bipartite blocks, one per value v, and a complete
-    block matches min(#{i : e_i = v}, #{j : d_j = v}) pairs.  The sum of
-    these minima over v is the size of the multiset intersection of e and d.
+    Both are read off one coordinate tuple.  Let c be the coefficients of
+    lam + rho^b with the delta block negated, that is
+    `encode(lam + rho^b - rho)`, with e = c[:m] and d = c[m:].  Then
+    (lam + rho^b, eps_i - delta_j) = e_i - d_j, so `gamma` is the set of
+    eps_i - delta_j with e_i = d_j for b distinguished.  `aty` is a count,
+    not a matching search: two distinct odd roots eps_i - delta_j,
+    eps_k - delta_l are orthogonal exactly when i != k and j != l, so `aty`
+    is a maximum matching in the bipartite graph with an edge i -- j when
+    e_i = d_j.  Equality makes that graph a disjoint union of complete
+    bipartite blocks, one per value v, and a complete block matches
+    min(#{i : e_i = v}, #{j : d_j = v}) pairs.  The sum of these minima
+    over v is the size of the multiset intersection of e and d.
     """
     p = lam.profile
-    shifted = lam + (rho(p) if borel is None else rho_b(borel))
-    c = shifted.coeffs
-    aty = sum((Counter(c[: p.m]) & Counter(-x for x in c[p.m:])).values())
-    base = lam + rho(p)
-    gamma = frozenset(
-        beta for beta in odd_positive_roots(p) if pairing(base, beta.as_weight()) == 0
-    )
-    return Atypicality(aty, gamma)
-
-
-def is_even_dominant(mu: Weight) -> bool:
-    """Dominance for the even subalgebra: both coefficient blocks weakly decreasing."""
-    e, d = mu.eps_block, mu.delta_block
-    return all(e[k] >= e[k + 1] for k in range(len(e) - 1)) and all(
-        d[k] >= d[k + 1] for k in range(len(d) - 1)
-    )
+    m = p.m
+    c = encode(lam)
+    gamma = frozenset(beta for beta in odd_positive_roots(p) if c[beta.i - 1] == c[beta.j - 1])
+    if borel is not None:
+        c = encode(lam + rho_b(borel) - rho(p))
+    return Atypicality(sum((Counter(c[:m]) & Counter(c[m:])).values()), gamma)

@@ -152,6 +152,9 @@ def test_small_rank_exactness_rejects():
         small_rank_exactness(weight_from_coords(P(2, 2), [7, 2], [2, 7]), 2)
     with pytest.raises(ValueError):
         small_rank_exactness(weight_from_coords(P(2, 1), [0, 3], [3]), 2)
+    # regular dominant, but the eps gap 1 is not more than n = 1
+    with pytest.raises(ValueError, match="not g_-1-generic"):
+        small_rank_exactness(weight_from_coords(P(2, 1), [1, 0], [5]), 2)
 
 
 def test_antidominant_generic_narrow_is_simple_gl11():

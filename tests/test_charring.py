@@ -109,7 +109,7 @@ def test_monomial_product():
     p = P(1, 1)
     lam = weight_from_blocks(p, [2], [1])
     mu = weight_from_blocks(p, [-1], [3])
-    f = monomial(lam, 4) * monomial(mu, 4)
+    f = monomial(lam, 4).mul(monomial(mu, 4))
     assert f.coeffs == {lam + mu: 1}
 
 
@@ -122,9 +122,9 @@ def test_ring_laws_on_random_series():
         c = random_char(rng, p, 0, 4)
         assert (a + b).equals(b + a)
         assert ((a + b) + c).equals(a + (b + c))
-        assert (a * b).equals(b * a)
-        assert ((a * b) * c).equals(a * (b * c))
-        assert (a * (b + c)).equals(a * b + a * c)
+        assert a.mul(b).equals(b.mul(a))
+        assert a.mul(b).mul(c).equals(a.mul(b.mul(c)))
+        assert a.mul(b + c).equals(a.mul(b) + a.mul(c))
 
 
 @st.composite
@@ -149,9 +149,9 @@ def test_ring_laws_property(case):
     roots, a, b, c = case
     assert (a + b).equals(b + a)
     assert ((a + b) + c).equals(a + (b + c))
-    assert (a * b).equals(b * a)
-    assert ((a * b) * c).equals(a * (b * c))
-    assert (a * (b + c)).equals(a * b + a * c)
+    assert a.mul(b).equals(b.mul(a))
+    assert a.mul(b).mul(c).equals(a.mul(b.mul(c)))
+    assert a.mul(b + c).equals(a.mul(b) + a.mul(c))
     for beta in roots:
         for sign in (1, -1):
             assert a.mul_unit(beta, sign).div_unit(beta, sign).equals(a)
@@ -178,14 +178,15 @@ def assert_level_store(f):
 @given(random_series())
 def test_level_store_invariant_property(case):
     roots, a, b, c = case
-    results = [a + b, a - b, a - a, -a, a.scale(3), a.scale(0), a * b, a * c]
+    results = [a + b, a + b.scale(-1), a + a.scale(-1), a.scale(-1), a.scale(3), a.scale(0)]
+    results += [a.mul(b), a.mul(c)]
     results += [a.retruncate(d) for d in range(a.depth + 1)]
     for beta in roots:
         for sign in (1, -1):
             results += [a.mul_unit(beta, sign), a.div_unit(beta, sign)]
     for f in results:
         assert_level_store(f)
-    assert not (a - a).coeffs
+    assert not (a + a.scale(-1)).coeffs
     with pytest.raises(TypeError):
         a.coeffs[a.top] = 1
 
@@ -380,6 +381,26 @@ def test_char_even_simple_rejects_non_dominant():
     p = P(2, 1)
     with pytest.raises(ValueError):
         char_even_simple(weight_from_blocks(p, [0, 1], [0]), 4)
+
+
+def test_char_even_simple_refuses_exactly_the_non_dominant():
+    # the old test on coefficients: both blocks weakly decreasing
+    def even_dominant(mu):
+        e, d = mu.eps_block, mu.delta_block
+        return all(map(operator.ge, e, e[1:])) and all(map(operator.ge, d, d[1:]))
+
+    refused = 0
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+        p = P(m, n)
+        for coeffs in itertools.product(range(-2, 3), repeat=p.dim):
+            mu = Weight(p, coeffs)
+            if even_dominant(mu):
+                char_even_simple(mu, 0)
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="not dominant for the even subalgebra"):
+                    char_even_simple(mu, 0)
+    assert refused
 
 
 def test_char_even_simple_nonnegative():

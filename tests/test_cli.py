@@ -9,11 +9,13 @@ from superchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_COMMANDS = {
+    "atyp_22_b1": "atyp --m 2 --n 2 --coords 5,2/2,5 --borel 1",
     "char_verma_b21": "char --type verma --borel 2,1 --m 2 --n 2 --coords 7,2/2,7 --depth 5",
     "char_narrow": "char --type narrow --m 2 --n 2 --coords 7,2/2,7 --depth 6",
     "char_simple_td": "char --type simple-td --m 2 --n 2 --coords 7,2/2,7 --depth 6",
     "char_kac": "char --type kac --m 2 --n 1 --coords 3,0/3 --depth 6",
     "char_even_simple": "char --type even-simple --m 2 --n 1 --coords 3,0/3 --depth 6",
+    "diagram_33": "diagram --m 3 --n 3 --coords 16,8,0/0,8,16",
     "euler": "euler --m 2 --n 2 --coords 7,2/2,7 --depth 6",
     "image_21": "image --m 2 --n 1 --coords 3,0/3 --depth 3",
     "image_22": "image --m 2 --n 2 --coords 7,2/2,7 --depth 2",
@@ -105,11 +107,26 @@ def test_usage_error_exit_two(capsys):
          "pass either --coords or --coeffs, not both"),
         (["char", "--type", "kac", "--borel", "1", "--m", "2", "--n", "1", "--coords", "3,0/3"],
          "--borel applies only to --type verma, not --type kac"),
+        (["atyp", "--m", "2", "--n", "2"], "a weight is required: pass --coords or --coeffs"),
+        (["atyp", "--m", "2", "--n", "2", "--coords", "5,2/2,5", "--borel", "x"],
+         "cannot parse Borel partition 'x': invalid literal for int() with base 10: 'x'"),
+        (["atyp", "--m", "2", "--n", "2", "--coords", "5,2/2,5", "--borel", "3"],
+         "cannot parse Borel partition '3': partition (3,) does not fit the 2x2 box"),
+        (["atyp", "--m", "2", "--n", "2", "--coords", "5,2/2"],
+         "weight '5,2/2' does not match gl(2|2)"),
     ],
-    ids=["coords_and_coeffs", "borel_without_verma"],
+    ids=["coords_and_coeffs", "borel_without_verma", "missing_weight", "borel_unparsable",
+         "borel_outside_box", "wrong_block_length"],
 )
 def test_conflicting_input_exit_two(capsys, argv, message):
+    # conflicting, missing or malformed input: one error line, usage exit
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_coeffs_input(capsys):
+    argv = ["char", "--type", "kac", "--m", "2", "--n", "1", "--coeffs", "3,1/0", "--depth", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("top (3,1|0) depth 2\n")
 
 
 def test_precondition_error_reported(capsys):

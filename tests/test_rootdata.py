@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superchar.rootdata import (
-    Coords,
     EnumerationBound,
     ProfileMismatch,
     RankProfile,
@@ -16,7 +15,6 @@ from superchar.rootdata import (
     ber,
     basis_weight,
     classify,
-    decode,
     dot_action,
     encode,
     even_positive_roots,
@@ -229,20 +227,26 @@ def test_shift_vectors_distinguished():
 
 
 def test_encode_examples():
-    assert encode(zero_weight(P(1, 1))).values == (0, 0)
-    assert encode(zero_weight(P(2, 1))).values == (0, -1, -1)
+    assert encode(zero_weight(P(1, 1))) == (0, 0)
+    assert encode(zero_weight(P(2, 1))) == (0, -1, -1)
+    # the coefficients of lam + rho, delta block negated
+    lam = Weight(P(2, 2), (4, -1, 2, -3))
+    assert encode(lam) == (4, -2, -3, 3)
 
 
 def test_coords_round_trip():
     p = P(2, 1)
-    c = Coords(p, (3, 0, 3))
-    assert encode(decode(c)) == c
+    assert encode(weight_from_coords(p, [3, 0], [3])) == (3, 0, 3)
     rng = random.Random(5)
-    for m, n in [(1, 1), (2, 2), (3, 1)]:
+    for m, n in [(1, 1), (2, 2), (3, 1), (2, 3)]:
         q = P(m, n)
         for _ in range(20):
             lam = random_weight(rng, q)
-            assert decode(encode(lam)) == lam
+            c = encode(lam)
+            assert weight_from_coords(q, c[:m], c[m:]) == lam
+    for eps, delta in [([3], [3]), ([3, 0, 1], [3]), ([3, 0], [])]:
+        with pytest.raises(ValueError, match="block lengths"):
+            weight_from_coords(p, eps, delta)
 
 
 def test_encode_intertwines_dot_action():
@@ -254,9 +258,9 @@ def test_encode_intertwines_dot_action():
             c = encode(lam)
             moved = encode(dot_action(w, lam))
             # coordinate i moves to slot w(i): slot k holds coordinate w^-1(k)
-            expected_eps = tuple(c.values[w.sigma.index(k + 1)] for k in range(p.m))
-            expected_delta = tuple(c.values[p.m + w.tau.index(k + 1)] for k in range(p.n))
-            assert moved.values == expected_eps + expected_delta
+            expected_eps = tuple(c[w.sigma.index(k + 1)] for k in range(p.m))
+            expected_delta = tuple(c[p.m + w.tau.index(k + 1)] for k in range(p.n))
+            assert moved == expected_eps + expected_delta
 
 
 # -- dot actions -------------------------------------------------------------
@@ -275,7 +279,7 @@ def test_dot_action_coords_example():
     p = P(2, 1)
     lam = weight_from_coords(p, [3, 0], [5])
     s = reflection(Root(p, 1, 2))
-    assert encode(dot_action(s, lam)).values == (0, 3, 5)
+    assert encode(dot_action(s, lam)) == (0, 3, 5)
 
 
 def test_dot_action_is_group_action():
@@ -310,9 +314,9 @@ def test_three_dot_actions_coincide():
 def test_classify_examples():
     p = P(2, 1)
     f = classify(weight_from_coords(p, [3, 0], [3]))
-    assert f.regular and f.dominant and not f.antidominant
+    assert f.regular and f.dominant
     f = classify(weight_from_coords(p, [0, 3], [3]))
-    assert f.regular and f.antidominant
+    assert f.regular and not f.dominant
     f = classify(weight_from_coords(P(2, 2), [1, 1], [0, 0]))
     assert not f.regular
 
@@ -365,6 +369,22 @@ def test_atypicality_matches_brute_force():
             assert atypicality(lam).aty == brute_force_atypicality(lam, None)
             for b in borels:
                 assert atypicality(lam, b).aty == brute_force_atypicality(lam, b)
+
+
+def test_gamma_matches_pairing_definition():
+    # gamma is read off coordinate coincidences; the definition pairs roots
+    rng = random.Random(31)
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]:
+        p = P(m, n)
+        b0 = distinguished(p)
+        for _ in range(40):
+            lam = random_weight(rng, p, -3, 3)
+            shifted = lam + rho(p)
+            expected = {
+                beta for beta in odd_positive_roots(p) if pairing(shifted, beta.as_weight()) == 0
+            }
+            assert atypicality(lam).gamma == expected
+            assert atypicality(lam, b0) == atypicality(lam)
 
 
 def test_atypicality_invariant_under_verma_transport():
