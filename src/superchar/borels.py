@@ -1,18 +1,19 @@
 """Borel subalgebras of gl(m|n) with the standard even part.
 
 Such a Borel is determined by an eps/delta sequence (m symbols eps, n
-symbols delta), equivalently by an (m|n)-shuffle, equivalently by a
-partition inside the m x n box.  The canonical storage is the
-partition; the bijection used throughout is
+symbols delta), equivalently by a partition inside the m x n box.  The
+canonical storage is the partition; the bijection used throughout is
 
     k-th part (largest first)  =  number of delta symbols to the left
                                   of the k-th eps symbol from the right.
 
 It sends the empty partition to eps^m delta^n (distinguished Borel) and
-the full box to delta^n eps^m (anti-distinguished).  The convention is
-fixed once and validated by the box-count invariant: the number of
-delta-minus-eps roots in the positive system equals the number of
-boxes.
+the full box to delta^n eps^m (anti-distinguished).  Each Borel builds
+one ordering from its partition, the basis indices in sequence order
+(delta_j at index m + j), and reads every view from it once: the
+sequence, the positive roots, the simple roots and the flipped odd
+roots.  The box-count invariant validates the convention: the number of
+delta-minus-eps roots in the positive system equals the number of boxes.
 
 An odd reflection swaps an adjacent eps,delta pair of the sequence and
 either adds or removes exactly one box; the reflection graph is the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootdata import (
@@ -41,6 +42,8 @@ EPS, DELTA = "ε", "δ"
 class BorelElt:
     profile: RankProfile
     partition: tuple[int, ...]
+    # basis indices in sequence order, delta_j at index m + j
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = self.partition
@@ -48,44 +51,68 @@ class BorelElt:
             raise ValueError(f"malformed partition {parts}: parts must be positive")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError(f"malformed partition {parts}: not weakly decreasing")
-        if len(parts) > self.profile.m or any(p > self.profile.n for p in parts):
-            raise ValueError(
-                f"partition {parts} does not fit the {self.profile.m}x{self.profile.n} box"
-            )
+        m, n = self.profile.m, self.profile.n
+        if len(parts) > m or any(p > n for p in parts):
+            raise ValueError(f"partition {parts} does not fit the {m}x{n} box")
+        # the deltas in front of each basis vector: eps_k has part m - k
+        # (counted from 0) of them, delta_j has j - 1; eps comes first on a tie
+        parts += (0,) * (m - len(parts))
+        ahead = [parts[m - i] if i <= m else i - m - 1 for i in range(1, m + n + 1)]
+        order = sorted(range(1, m + n + 1), key=lambda i: (ahead[i - 1], i > m, i))
+        object.__setattr__(self, "_order", tuple(order))
 
     # -- views ------------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def seq(self) -> str:
-        return _seq(self)
+        return "".join(EPS if i <= self.profile.m else DELTA for i in self._order)
 
     def seq_ascii(self) -> str:
-        return _seq(self).replace(EPS, "e").replace(DELTA, "d")
+        return self.seq().replace(EPS, "e").replace(DELTA, "d")
 
     def box_count(self) -> int:
         return sum(self.partition)
 
     # -- root data ---------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def positive_roots(self) -> frozenset[Root]:
-        return _positive_roots(self)
+        order = self._order
+        return frozenset(
+            Root(self.profile, i, j) for a, i in enumerate(order) for j in order[a + 1:]
+        )
 
+    @lru_cache(maxsize=None)
     def odd_positive_roots(self) -> tuple[Root, ...]:
-        return _odd_positive_roots(self)
+        """The odd positive roots, in (i, j) order."""
+        odd = (r for r in self.positive_roots() if r.is_odd)
+        return tuple(sorted(odd, key=lambda r: (r.i, r.j)))
 
+    @lru_cache(maxsize=None)
     def flipped_odd_roots(self) -> tuple[Root, ...]:
-        """Distinguished-positive odd roots that this Borel makes negative."""
-        return _flipped_odd_roots(self)
+        """Distinguished-positive odd roots that this Borel makes negative:
+        each eps_i - delta_j with delta_j in front of eps_i, in (i, j) order."""
+        order, m = self._order, self.profile.m
+        return tuple(
+            Root(self.profile, i, j)
+            for i in range(1, m + 1)
+            for j in order[: order.index(i)]
+            if j > m
+        )
 
+    @lru_cache(maxsize=None)
     def simple_roots(self) -> tuple[Root, ...]:
-        return _simple_roots(self)
+        return tuple(Root(self.profile, i, j) for i, j in zip(self._order, self._order[1:]))
 
     def __str__(self):
         return f"partition:[{','.join(map(str, self.partition))}]"
 
 
 def borel(profile: RankProfile, parts) -> BorelElt:
-    """Normalize (drop zero parts, sort check) and build a Borel."""
-    parts = tuple(p for p in parts if p != 0)
+    """Drop trailing zero parts and build a Borel; any other zero is refused."""
+    parts = tuple(parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
     return BorelElt(profile, parts)
 
 
@@ -95,84 +122,6 @@ def distinguished(profile: RankProfile) -> BorelElt:
 
 def antidistinguished(profile: RankProfile) -> BorelElt:
     return BorelElt(profile, (profile.n,) * profile.m)
-
-
-@lru_cache(maxsize=None)
-def _seq(b: BorelElt) -> str:
-    m, n = b.profile.m, b.profile.n
-    parts = list(b.partition) + [0] * (m - len(b.partition))
-    # q[k] = deltas in front of the (k+1)-th eps from the left
-    q = parts[::-1]
-    out = []
-    placed = 0
-    for k in range(m):
-        out.append(DELTA * (q[k] - placed))
-        out.append(EPS)
-        placed = q[k]
-    out.append(DELTA * (n - placed))
-    return "".join(out)
-
-
-@lru_cache(maxsize=None)
-def _shuffle(b: BorelElt) -> tuple[int, ...]:
-    """tau with tau(i) = sequence position of basis vector i (1-based)."""
-    m = b.profile.m
-    tau = [0] * b.profile.dim
-    n_eps = n_delta = 0
-    for pos, ch in enumerate(_seq(b), start=1):
-        if ch == EPS:
-            n_eps += 1
-            tau[n_eps - 1] = pos
-        else:
-            n_delta += 1
-            tau[m + n_delta - 1] = pos
-    return tuple(tau)
-
-
-@lru_cache(maxsize=None)
-def _positive_roots(b: BorelElt) -> frozenset[Root]:
-    tau = _shuffle(b)
-    d = b.profile.dim
-    return frozenset(
-        Root(b.profile, i, j)
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if i != j and tau[i - 1] < tau[j - 1]
-    )
-
-
-@lru_cache(maxsize=None)
-def _odd_positive_roots(b: BorelElt) -> tuple[Root, ...]:
-    return tuple(
-        sorted(
-            (r for r in _positive_roots(b) if r.is_odd),
-            key=lambda r: (r.i, r.j),
-        )
-    )
-
-
-@lru_cache(maxsize=None)
-def _flipped_odd_roots(b: BorelElt) -> tuple[Root, ...]:
-    m = b.profile.m
-    tau = _shuffle(b)
-    out = []
-    for i in range(1, m + 1):
-        for j in range(m + 1, b.profile.dim + 1):
-            if tau[i - 1] > tau[j - 1]:
-                out.append(Root(b.profile, i, j))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _simple_roots(b: BorelElt) -> tuple[Root, ...]:
-    tau = _shuffle(b)
-    by_position = [0] * b.profile.dim
-    for i in range(1, b.profile.dim + 1):
-        by_position[tau[i - 1] - 1] = i
-    return tuple(
-        Root(b.profile, by_position[p], by_position[p + 1])
-        for p in range(b.profile.dim - 1)
-    )
 
 
 def enumerate_borels(profile: RankProfile) -> list[BorelElt]:
@@ -206,7 +155,7 @@ def odd_reflection(b: BorelElt, alpha: Root) -> BorelElt:
     """
     if not alpha.is_odd:
         raise ValueError(f"{alpha} is not odd")
-    if alpha not in _simple_roots(b):
+    if alpha not in b.simple_roots():
         raise ValueError(f"{alpha} is not a simple root of {b}")
     m = b.profile.m
     parts = list(b.partition) + [0] * (m - len(b.partition))

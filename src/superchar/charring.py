@@ -44,6 +44,8 @@ from .rootdata import (
     classify,
     even_positive_roots,
     odd_positive_roots,
+    rho,
+    rho_b,
     weyl_window,
     zero_weight,
 )
@@ -395,16 +397,14 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     """e^lam * prod over odd positives (1+e^{-beta}) / prod (1-e^{-gamma}).
 
     Wrong-direction odd factors of b are normalized into the cone, which
-    shifts the stored top to lam plus the flipped odd roots.  The unit
-    factors do not depend on the top, and each step (mul_unit, div_unit)
-    acts level by level relative to it, so the character is the series
-    `_verma_at_zero` translated: every coefficient tuple moves by top and
-    every xi level by xi(top).
+    shifts the stored top to lam plus the flipped odd roots, that is to
+    lam + rho^b - rho.  The unit factors do not depend on the top, and
+    each step (mul_unit, div_unit) acts level by level relative to it, so
+    the character is the series `_verma_at_zero` translated: every
+    coefficient tuple moves by top and every xi level by xi(top).
     """
     p = lam.profile
-    top = lam
-    for beta in b.flipped_odd_roots():
-        top = top + beta.as_weight()
+    top = lam + rho_b(b) - rho(p)
     shift, step = top.coeffs, top.xi
     levels = {
         level + step: {tuple(map(add, t, shift)): v for t, v in terms.items()}

@@ -7,8 +7,9 @@ verma) is a usage error.  Exit status: 0 when the requested computation
 or verification succeeds, 1 when a verification fails, 2 on usage
 errors, 3 when an enumeration would exceed its size bound, 4 when two
 computations that must agree identically do not (an internal
-inconsistency).  Errors print one `error:` line on stderr.  All
-randomized sweeps take --seed and are byte-reproducible.
+inconsistency).  Errors print one `error:` line on stderr, and each
+warning one `warning:` line.  All randomized sweeps take --seed and are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import bggcheck, borels, charring, diagrams, rootdata, vermacalc
 
@@ -37,8 +39,8 @@ def _at_least(least: int):
 def _parse_blocks(text: str, profile: rootdata.RankProfile) -> tuple[list[int], list[int]]:
     try:
         eps_part, delta_part = text.split("/")
-        eps = [int(v) for v in eps_part.split(",") if v != ""]
-        delta = [int(v) for v in delta_part.split(",") if v != ""]
+        eps = [int(v) for v in eps_part.split(",")]
+        delta = [int(v) for v in delta_part.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse weight blocks {text!r}: {exc}") from None
     if len(eps) != profile.m or len(delta) != profile.n:
@@ -63,7 +65,7 @@ def _borel_from_args(args, profile) -> borels.BorelElt:
     if not spec:
         return borels.distinguished(profile)
     try:
-        parts = [int(v) for v in spec.split(",") if v != ""]
+        parts = [int(v) for v in spec.split(",")]
         return borels.borel(profile, parts)
     except ValueError as exc:
         raise ValueError(f"cannot parse Borel partition {spec!r}: {exc}") from None
@@ -316,16 +318,20 @@ def _error(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        # checked up front, so that a bad value is a usage error before any work
-        vermacalc.max_cells_from_env()
-        return args.func(args)
-    except ValueError as exc:  # bad input; ProfileMismatch and DepthError included
-        return _error(exc, USAGE_EXIT)
-    except rootdata.EnumerationBound as exc:
-        return _error(exc, BOUND_EXIT)
-    except rootdata.ConsistencyError as exc:
-        return _error(exc, CONSISTENCY_EXIT)
+    with warnings.catch_warnings():
+        # each warning, once per call site, as one `warning:` line without its source
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            # checked up front, so that a bad value is a usage error before any work
+            vermacalc.max_cells_from_env()
+            return args.func(args)
+        except ValueError as exc:  # bad input; ProfileMismatch and DepthError included
+            return _error(exc, USAGE_EXIT)
+        except rootdata.EnumerationBound as exc:
+            return _error(exc, BOUND_EXIT)
+        except rootdata.ConsistencyError as exc:
+            return _error(exc, CONSISTENCY_EXIT)
 
 
 if __name__ == "__main__":

@@ -344,6 +344,7 @@ def rho1_doubled(borel) -> Weight:
     return total
 
 
+@lru_cache(maxsize=None)
 def rho_b(borel) -> Weight:
     """rho + (rho1^{()} - rho1^b); equals rho plus the flipped odd roots."""
     total = rho(borel.profile)

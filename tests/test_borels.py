@@ -50,6 +50,9 @@ def test_enumeration_bound(monkeypatch):
 def test_partition_validation():
     with pytest.raises(ValueError):
         BorelElt(P(2, 2), (1, 2))  # not weakly decreasing
+    with pytest.raises(ValueError, match="parts must be positive"):
+        borel(P(2, 2), [0, 1])  # only trailing zeros are dropped
+    assert borel(P(3, 2), [2, 1, 0]) == borel(P(3, 2), [2, 1])
     with pytest.raises(ValueError):
         BorelElt(P(2, 2), (3,))  # part exceeds the box
     with pytest.raises(ValueError):
@@ -76,6 +79,26 @@ def test_views_round_trip_up_to_5_5():
                 assert b.partition == tuple(part for part in parts if part)
                 assert b.seq() == seq.replace("e", "ε").replace("d", "δ")
                 assert sorted(seq) == ["d"] * n + ["e"] * m
+
+
+def test_views_match_an_independent_reading_of_the_sequence():
+    # read seq_ascii alone: its k-th "e" is eps_k (index k), its k-th "d" is
+    # delta_k (index m + k); a root is positive when its i comes before its j
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for b in enumerate_borels(P(m, n)):
+                seen = {"e": 0, "d": m}
+                basis = []
+                for ch in b.seq_ascii():
+                    seen[ch] += 1
+                    basis.append(seen[ch])
+                before = {(i, j) for a, i in enumerate(basis) for j in basis[a + 1:]}
+                assert {(r.i, r.j) for r in b.positive_roots()} == before
+                assert [(r.i, r.j) for r in b.simple_roots()] == list(zip(basis, basis[1:]))
+                flipped = sorted((i, j) for j, i in before if i <= m < j)
+                assert [(r.i, r.j) for r in b.flipped_odd_roots()] == flipped
+                odd = sorted((i, j) for i, j in before if (i <= m) != (j <= m))
+                assert [(r.i, r.j) for r in b.odd_positive_roots()] == odd
 
 
 def test_positive_system_sizes_and_even_part():

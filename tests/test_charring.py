@@ -799,6 +799,20 @@ def test_char_verma_is_the_cached_series_translated(p, data):
             assert charring._VERMA_AT_ZERO[p].depth == max(depths[: i + 1])
 
 
+def test_char_verma_top_is_lam_plus_the_flipped_roots():
+    # the oracle is the definition char_verma used before reading rho^b - rho:
+    # the flipped odd roots added one by one
+    for m in range(1, 5):
+        for n in range(1, 5):
+            p = P(m, n)
+            lam = Weight(p, tuple(range(p.dim)))
+            for b in enumerate_borels(p):
+                top = lam
+                for beta in b.flipped_odd_roots():
+                    top = top + beta.as_weight()
+                assert char_verma(b, lam, 0).top == top
+
+
 def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
     monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     p = P(2, 2)

@@ -114,13 +114,43 @@ def test_usage_error_exit_two(capsys):
          "cannot parse Borel partition '3': partition (3,) does not fit the 2x2 box"),
         (["atyp", "--m", "2", "--n", "2", "--coords", "5,2/2"],
          "weight '5,2/2' does not match gl(2|2)"),
+        (["roots", "--m", "2", "--n", "2", "--borel", "1,0,1"],
+         "cannot parse Borel partition '1,0,1': malformed partition (1, 0, 1): "
+         "parts must be positive"),
+        (["roots", "--m", "2", "--n", "2", "--borel", "0,1"],
+         "cannot parse Borel partition '0,1': malformed partition (0, 1): parts must be positive"),
+        (["roots", "--m", "2", "--n", "2", "--borel", "1,,1"],
+         "cannot parse Borel partition '1,,1': invalid literal for int() with base 10: ''"),
+        (["char", "--type", "kac", "--m", "2", "--n", "1", "--coords", "3,,0/3"],
+         "cannot parse weight blocks '3,,0/3': invalid literal for int() with base 10: ''"),
+        (["char", "--type", "kac", "--m", "2", "--n", "1", "--coeffs", "3,0/3,"],
+         "cannot parse weight blocks '3,0/3,': invalid literal for int() with base 10: ''"),
     ],
     ids=["coords_and_coeffs", "borel_without_verma", "missing_weight", "borel_unparsable",
-         "borel_outside_box", "wrong_block_length"],
+         "borel_outside_box", "wrong_block_length", "borel_inner_zero", "borel_leading_zero",
+         "borel_empty_entry", "coords_empty_entry", "coeffs_trailing_comma"],
 )
 def test_conflicting_input_exit_two(capsys, argv, message):
     # conflicting, missing or malformed input: one error line, usage exit
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_borel_trailing_zeros_dropped(capsys):
+    # the only zeros a partition may carry are trailing ones
+    assert run(capsys, ["roots", "--m", "2", "--n", "2", "--borel", "1,0"]) == run(
+        capsys, ["roots", "--m", "2", "--n", "2", "--borel", "1"]
+    )
+
+
+def test_warning_is_one_line(capsys):
+    # a non-generic narrow character is still served; the warning is one line
+    argv = ["char", "--type", "narrow", "--m", "2", "--n", "2", "--coords", "0,-1/-1,0",
+            "--depth", "1"]
+    assert run(capsys, argv) == (
+        0,
+        "top (0,0|0,0) depth 1\n  (0,0|0,0): 1\n  (-1,1|0,0): 1\n  (0,0|-1,1): 1\n",
+        "warning: (0,0|0,0) is not g_-1-generic; the narrow character formula is unproven here\n",
+    )
 
 
 def test_coeffs_input(capsys):

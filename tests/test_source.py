@@ -22,15 +22,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _load_bench(name):
+    """perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_tracer_hooks_name_live_callables():
     # perfbench/tracer.py wraps the package by name and refuses to run when a
     # name it hooks is gone: deleting such a name would break `--trace 1`
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench("tracer")
     ring = dict(vars(superchar.charring.FormalChar))
     assert tracer.Tracer(superchar).run(lambda: None) is None
     assert dict(vars(superchar.charring.FormalChar)) == ring  # every original restored
+
+
+def test_bench_workloads_pass_their_checks_plain_and_traced():
+    # a library change that would make a benchmark run end `incorrect`, or
+    # break its traced run, fails here: seed 0's first input, run both ways
+    workloads, tracer = _load_bench("workloads"), _load_bench("tracer")
+    lib = workloads.load_library()
+    expected = workloads.load_expected()
+    for name, wl in workloads.WORKLOADS.items():
+        inp = next(wl.inputs(lib, 0, 0))
+        assert wl.validate(lib, inp, brute=True) is None
+        traced = tracer.Tracer(lib)
+        for result in (wl.call(lib, inp), traced.run(lambda: wl.call(lib, inp))):
+            assert wl.check(wl.summarize(lib, inp, result), expected[name]) == []
+        assert traced.check_closure()[0]
 
 
 # Public names that nothing in the package calls, each kept for one reason.
