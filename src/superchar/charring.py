@@ -40,12 +40,11 @@ from .rootdata import (
     RankProfile,
     Root,
     Weight,
+    _rho_b_shift,
     atypicality,
     classify,
     even_positive_roots,
     odd_positive_roots,
-    rho,
-    rho_b,
     weyl_window,
     zero_weight,
 )
@@ -398,13 +397,14 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
 
     Wrong-direction odd factors of b are normalized into the cone, which
     shifts the stored top to lam plus the flipped odd roots, that is to
-    lam + rho^b - rho.  The unit factors do not depend on the top, and
-    each step (mul_unit, div_unit) acts level by level relative to it, so
-    the character is the series `_verma_at_zero` translated: every
-    coefficient tuple moves by top and every xi level by xi(top).
+    lam + rho^b - rho, a shift cached once per Borel.  The unit factors do
+    not depend on the top, and each step (mul_unit, div_unit) acts level
+    by level relative to it, so the character is the series
+    `_verma_at_zero` translated: every coefficient tuple moves by top and
+    every xi level by xi(top).
     """
     p = lam.profile
-    top = lam + rho_b(b) - rho(p)
+    top = lam + _rho_b_shift(b)
     shift, step = top.coeffs, top.xi
     levels = {
         level + step: {tuple(map(add, t, shift)): v for t, v in terms.items()}

@@ -347,7 +347,14 @@ def rho1_doubled(borel) -> Weight:
 @lru_cache(maxsize=None)
 def rho_b(borel) -> Weight:
     """rho + (rho1^{()} - rho1^b); equals rho plus the flipped odd roots."""
-    total = rho(borel.profile)
+    return rho(borel.profile) + _rho_b_shift(borel)
+
+
+@lru_cache(maxsize=None)
+def _rho_b_shift(borel) -> Weight:
+    """rho^b - rho: the sum of the flipped odd roots, zero for the
+    distinguished Borel."""
+    total = zero_weight(borel.profile)
     for beta in borel.flipped_odd_roots():
         total = total + beta.as_weight()
     return total
@@ -481,5 +488,5 @@ def atypicality(lam: Weight, borel=None) -> Atypicality:
     c = encode(lam)
     gamma = frozenset(beta for beta in odd_positive_roots(p) if c[beta.i - 1] == c[beta.j - 1])
     if borel is not None:
-        c = encode(lam + rho_b(borel) - rho(p))
+        c = encode(lam + _rho_b_shift(borel))
     return Atypicality(sum((Counter(c[:m]) & Counter(c[m:])).values()), gamma)

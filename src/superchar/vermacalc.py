@@ -15,6 +15,10 @@ supercommutator.  Every coefficient is an integer: the straightening,
 the elements it produces and the row reduction of their coordinates
 use no rationals.
 
+A weight space is read from its level: the monomials at one xi-drop
+below the highest weight, bucketed by weight.  A module walks each of
+its levels once, odd part then even part (see `_walk_level`).
+
 An element's weight is read off its first monomial.  Homogeneity is
 checked at the boundary: by `VermaModule.element`, and by `coordinates`,
 which every element passes before it reaches a row basis.  Every Verma
@@ -30,6 +34,7 @@ it straightens.
 from __future__ import annotations
 
 import os
+from operator import add, sub
 
 from .borels import BorelElt, antidistinguished, distinguished
 from .linalg import RowBasis, matrix_rank
@@ -222,40 +227,87 @@ class VermaModule:
 
     def _walk_level(self, drop: int) -> dict:
         """{weight coefficients: monomials} at xi-drop exactly `drop`, each
-        bucket in lexicographic exponent order.
+        bucket in lexicographic exponent order, the buckets in the order of
+        their first monomials.
 
-        One depth-first walk over the slots in PBW order, odd exponents 0 or
-        1 and even ones up to what the budget of `drop` allows.  It stops a
-        branch once the odd slots still to come cannot refund the xi it has
-        overspent, and keeps a leaf that spent the budget exactly.  Exponents
-        rise slot by slot, so leaves arrive in lexicographic order."""
-        ends, steps, refund, odd = self._ends, self._steps, self._refund, self.neg_parity
-        last = len(steps)
-        coeffs = list(self.lam.coeffs)
-        mono = [0] * last
-        buckets: dict = {}
+        PBW order puts the even slots first, so a monomial is an even part
+        followed by an odd 0/1 part: its xi-drop is the sum of the two
+        parts' drops, and its weight is lam minus the roots of both.  The
+        odd parts are walked first, a branch stopping once its xi-sum,
+        lowered by every negative step still to come, exceeds `drop` (only
+        odd roots of a non-distinguished Borel have a negative step).  Each
+        odd part leaves the even part a budget of `drop` minus its sum.
+        Every even step is positive, so one walk of the even slots, up to
+        the largest budget, finds every even part of every budget; a branch
+        ends once its budget is spent or its last even slot is set, the
+        slots after it 0.  Each even part, its weight read from lam, is
+        joined to the odd parts of its budget, and each bucket is sorted.
+        """
+        ends, steps, refund = self._ends, self._steps, self._refund
+        first_odd, last = self.neg_parity.count(False), len(steps)
+        coeffs = [0] * self.profile.dim
 
-        def walk(k, left):
-            if left + refund[k] < 0:
+        odd_parts: dict = {}  # budget -> [(odd exponents, their coefficients)]
+        odd = [0] * (last - first_odd)
+
+        def walk_odd(k, spent):
+            if spent - refund[k] > drop:
                 return
             if k == last:
-                if left == 0:
-                    buckets.setdefault(tuple(coeffs), []).append(tuple(mono))
+                odd_parts.setdefault(drop - spent, []).append((tuple(odd), tuple(coeffs)))
                 return
-            step = steps[k]
-            top = 1 if odd[k] else (left + refund[k + 1]) // step
+            walk_odd(k + 1, spent)
             i, j = ends[k]
+            odd[k - first_odd] = 1
+            coeffs[i] -= 1
+            coeffs[j] += 1
+            walk_odd(k + 1, spent + steps[k])
+            odd[k - first_odd] = 0
+            coeffs[i] += 1
+            coeffs[j] -= 1
+
+        walk_odd(first_odd, 0)
+        if not odd_parts:
+            return {}
+        coeffs[:] = self.lam.coeffs  # the even parts carry lam
+
+        # every even part whose xi-drop is a budget some odd part leaves, by budget
+        even_parts: dict = {budget: [] for budget in odd_parts}
+        most = max(odd_parts)
+        even = [0] * first_odd
+
+        def walk_even(k, left):
+            i, j = ends[k]
+            step = steps[k]
+            top = left // step
             for count in range(top + 1):
-                mono[k] = count
-                walk(k + 1, left - count * step)
+                even[k] = count
+                rest = left - count * step
+                if rest and k < first_odd - 1:
+                    walk_even(k + 1, rest)
+                else:  # the slots after k stay 0
+                    parts = even_parts.get(most - rest)
+                    if parts is not None:
+                        parts.append((tuple(even), tuple(coeffs)))
                 coeffs[i] -= 1
                 coeffs[j] += 1
-            mono[k] = 0
+            even[k] = 0
             coeffs[i] += top + 1
             coeffs[j] -= top + 1
 
-        walk(0, drop)
-        return {key: tuple(monos) for key, monos in buckets.items()}
+        if first_odd:
+            walk_even(0, most)
+        elif 0 in even_parts:  # no even slots: only the empty even part
+            even_parts[0].append(((), tuple(coeffs)))
+        buckets: dict = {}
+        for budget, odds in odd_parts.items():
+            for even_mono, even_coeffs in even_parts[budget]:
+                for odd_mono, odd_coeffs in odds:
+                    buckets.setdefault(tuple(map(add, even_coeffs, odd_coeffs)), []).append(
+                        even_mono + odd_mono
+                    )
+        ordered = sorted([(tuple(sorted(monos)), key) for key, monos in buckets.items()])
+        return {key: monos for monos, key in ordered}
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
         """elem over nu's weight-space basis; a term of another weight is a ConsistencyError."""
@@ -423,26 +475,29 @@ def max_cells_from_env() -> int:
 
 def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
     """Weights top - (nonnegative span of the distinguished positive roots)
-    within the xi-window, sorted shallow to deep; none for a negative depth."""
+    within the xi-window, sorted shallow to deep; none for a negative depth.
+
+    Found breadth first on coefficient tuples, each keyed by its xi-drop
+    below top."""
     if depth < 0:
         return []
     p = top.profile
     roots = [r.as_weight() for r in even_positive_roots(p) + odd_positive_roots(p)]
-    steps = [r.xi for r in roots]
-    floor = top.xi - depth
-    seen = {top}
-    frontier = [top]
+    roots = [(r.coeffs, r.xi) for r in roots]
+    drop_of = {top.coeffs: 0}
+    frontier = [top.coeffs]
     while frontier:
         nxt = []
         for w in frontier:
-            for r, s in zip(roots, steps):
-                if w.xi - s >= floor:
-                    cand = w - r
-                    if cand not in seen:
-                        seen.add(cand)
+            drop = drop_of[w]
+            for r, step in roots:
+                if drop + step <= depth:
+                    cand = tuple(map(sub, w, r))
+                    if cand not in drop_of:
+                        drop_of[cand] = drop + step
                         nxt.append(cand)
         frontier = nxt
-    return sorted(seen, key=lambda w: (-w.xi, w.coeffs))
+    return [Weight(p, w) for w in sorted(drop_of, key=lambda w: (drop_of[w], w))]
 
 
 def submodule_weight_ranks(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -248,8 +249,40 @@ def test_level_buckets_match_oracle(case, anti, depth):
         found = sorted(mono for monos in buckets.values() for mono in monos)
         assert found == sorted(mono for mono, _, d in oracle if d == level)
         for key, monos in buckets.items():
-            assert monos
+            assert monos and list(monos) == sorted(monos)
             assert all(weight_of[mono] == key for mono in monos)
+        # the buckets come in the order of their first monomials, as a
+        # lexicographic walk files them
+        firsts = [monos[0] for monos in buckets.values()]
+        assert firsts == sorted(firsts)
+
+
+def cone_breadth_first(top, depth):
+    """The distinguished cone below top within the xi-window, walked breadth
+    first from top and sorted shallow to deep."""
+    if depth < 0:
+        return []
+    p = top.profile
+    roots = [r.as_weight() for r in even_positive_roots(p) + odd_positive_roots(p)]
+    seen = {top}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for r in roots:
+                cand = w - r
+                if cand.xi >= top.xi - depth and cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen, key=lambda w: (-w.xi, w.coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(borel_weights(), st.integers(-1, 4))
+def test_cone_weights_below_matches_breadth_first(case, depth):
+    _, top = case
+    assert cone_weights_below(top, depth) == cone_breadth_first(top, depth)
 
 
 def test_weight_space_profile_mismatch():
@@ -628,6 +661,39 @@ def test_weight_spaces_walk_once_per_level(monkeypatch):
     for levels in walks.values():
         assert len({nu.xi for nu in ranks}) == len(levels) == len(set(levels)) == 5
     assert walks[distinguished(p)] == list(range(5))
+
+
+@pytest.mark.parametrize(
+    "lam, depth",
+    [
+        (weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16]), 4),
+        (weight_from_coords(P(4, 4), [30, 20, 10, 0], [0, 10, 20, 30]), 6),
+    ],
+)
+def test_level_walk_calls_stay_near_the_monomials_filed(monkeypatch, lam, depth):
+    # every Python call the level walks make, counted by a profile hook set
+    # for the walk alone, over both modules of the image route
+    calls = filed = 0
+    walk_level = VermaModule._walk_level
+
+    def tally(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    def profiled(module, drop):
+        nonlocal filed
+        sys.setprofile(tally)
+        try:
+            level = walk_level(module, drop)
+        finally:
+            sys.setprofile(None)
+        filed += sum(map(len, level.values()))
+        return level
+
+    monkeypatch.setattr(VermaModule, "_walk_level", profiled)
+    narrow_image_dims(lam, depth)
+    assert filed
+    assert calls <= 4 * filed
 
 
 def test_cell_bound_fires_before_straightening(monkeypatch):
