@@ -35,6 +35,7 @@ from .charring import (
     ConsistencyError,
     DepthError,
     FormalChar,
+    PackingError,
     char_even_simple,
     char_kac,
     char_narrow,

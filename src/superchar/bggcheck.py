@@ -138,13 +138,13 @@ def character_shift_sweep(
     ordered pair of Borels; SWEEP_MISMATCHES deliberately mis-shifted pairs
     must differ.
 
-    `char_verma(b, mu)` is the cached ch M(0) translated to
-    mu + rho^b - rho, so with mu = lam - rho^b every chart of a trial is
-    that one series translated to lam - rho, and the pair equalities hold
-    by construction: they check neither rho^b nor the series ring.  What
-    checks more is the coefficient 1 of every chart at each lam - rho^b,
-    the mismatches, and `verma_count_check`, which counts PBW monomials on
-    its own route.
+    `char_verma(b, mu)` is a new top, mu + rho^b - rho, over the cached
+    store of ch M(0), so with mu = lam - rho^b every chart of a trial is
+    that one store under the top lam - rho, and the pair equalities hold
+    by construction: each costs one identity check per level, and they
+    check neither rho^b nor the series ring.  What checks more is the
+    coefficient 1 of every chart at each lam - rho^b, the mismatches, and
+    `verma_count_check`, which counts PBW monomials on its own route.
     """
     rng = random.Random(seed)
     borels = enumerate_borels(profile)

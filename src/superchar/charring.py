@@ -9,20 +9,33 @@ Every series handled here has its support inside top - (nonnegative
 span of those roots), so truncating by xi keeps the data finite while
 all coefficients at or above the cutoff are exact.
 
-A series stores its terms by xi level, as {level: {coefficient tuple:
-int}}, and the ring operations work on those plain tuples.  `Weight`
-objects are built only at the API boundary: the public constructor
-takes a {Weight: int} dict, and `FormalChar.coeffs` is a read-only
-{Weight: int} view whose len() and values() build no Weight.
+A series stores its terms relative to its top, as {xi-drop below top:
+{packed offset: int}}: a term t has the offset o = t - top, packed as
+the one int sum of o_i * 2^(16 (dim - i)), digits balanced in
+[-2^15, 2^15).  The packing is linear, so a unit step moves a term by
+one int subtraction and a Verma character is a new top over a shared
+store; on the box |o_i| < 2^15 it is injective and orders keys as their
+offsets.  Every stored key lies in the box: a series has a spread s, so
+that a term at drop k has |o_i| <= s + k, and s + depth < 2^15, else
+`PackingError`.  A monomial and ch M(0) have s = 0, and the public
+constructor refuses a depth or a term offset of 2^13 or more.  A unit
+step moves a term by a positive root, so each digit moves by at most 1
+per xi-step and s is kept.  A sum or comparison keys the lower top's
+series from the higher top, which moves its keys by the tops' packed
+difference d and its drops by their xi difference l, so its spread
+becomes s + max|d_i| - l; a product adds spreads.  A lookup beyond the
+spread is 0 without reading a key.  `Weight`s and coefficient tuples
+are built only at the API boundary: the public constructor takes a
+{Weight: int} dict, and `FormalChar.coeffs` is a read-only {Weight: int}
+view whose len() and values() decode nothing.
 
 Characters of Verma modules for an arbitrary Borel are normalized into
 this cone by rewriting each wrong-direction odd factor
 (1 + e^{+beta}) = e^{beta} (1 + e^{-beta}); only the top weight moves,
 so Vermas for all Borels become directly comparable series.  Each is
 then e^{top} times one series P = prod over odd (1+e^{-beta}) / prod
-over even (1-e^{-gamma}) that depends only on the profile, and the unit
-steps act level by level relative to the top: a Verma character is P
-translated, and P is built once per profile.
+over even (1-e^{-gamma}) that depends only on the profile: P is built
+once per profile, and every Verma character is a new top over its store.
 """
 
 from __future__ import annotations
@@ -30,6 +43,8 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Mapping, ValuesView
+from functools import lru_cache
+from itertools import chain
 from operator import add, sub
 
 from . import diagrams
@@ -51,36 +66,76 @@ from .rootdata import (
 
 DEFAULT_DEPTH = 8
 
+_RADIX = 1 << 16
+_HALF = _RADIX // 2  # the packing box: every |offset_i| < _HALF
+_BOUND = 1 << 13  # the public constructor's bound on depth and term offsets
+
 
 class DepthError(ValueError):
     """A coefficient or comparison was requested below the valid cutoff."""
 
 
+class PackingError(ValueError):
+    """A series spreads too wide, or two tops lie too far apart, for the packing box."""
+
+
+def _pack(offset) -> int:
+    """sum of offset[i] * 2^(16 * (dim - 1 - i)): linear, injective on the box."""
+    p = 0
+    for x in offset:
+        p = p * _RADIX + x
+    return p
+
+
+def _unpack(p: int, dim: int) -> tuple[int, ...]:
+    """The offset in the box that packs to p: its balanced digits."""
+    out = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        out[i] = x = (p + _HALF) % _RADIX - _HALF
+        p = (p - x) // _RADIX
+    return tuple(out)
+
+
+def _at(top: Weight, p: int) -> tuple[int, ...]:
+    """The coefficient tuple of the term at packed offset p below top."""
+    return tuple(map(add, top.coeffs, _unpack(p, len(top.coeffs))))
+
+
+@lru_cache(maxsize=None)
+def _unit_step(beta: Root) -> tuple[int, int]:
+    """(packed beta, xi(beta)) of a unit exponent, a root of positive xi."""
+    if not isinstance(beta, Root):
+        raise TypeError(f"unit factor exponent {beta} is not a root")
+    xi, dim = beta.profile.xi, beta.profile.dim
+    step = xi[beta.i - 1] - xi[beta.j - 1]
+    if step <= 0:
+        raise ValueError(f"unit factor exponent {beta} must have positive xi")
+    return _RADIX ** (dim - beta.i) - _RADIX ** (dim - beta.j), step
+
+
 class _Coeffs(Mapping):
-    """Read-only {Weight: int} view of a level store; builds each Weight
-    only when a key is asked for."""
+    """Read-only {Weight: int} view of a series; builds each Weight only
+    when a key is asked for."""
 
-    __slots__ = ("_profile", "_levels")
+    __slots__ = ("_f",)
 
-    def __init__(self, profile, levels):
-        self._profile = profile
-        self._levels = levels
+    def __init__(self, f):
+        self._f = f
 
     def __getitem__(self, w):
-        if isinstance(w, Weight) and w.profile == self._profile:
-            terms = self._levels.get(w.xi, {})
-            if w.coeffs in terms:
-                return terms[w.coeffs]
+        v = self._f._get(w) if isinstance(w, Weight) and w.profile == self._f.profile else 0
+        if v:
+            return v
         raise KeyError(w)
 
     def __iter__(self):
-        p = self._profile
-        for terms in self._levels.values():
-            for t in terms:
-                yield Weight(p, t)
+        p, top = self._f.profile, self._f.top
+        for terms in self._f._levels.values():
+            for k in terms:
+                yield Weight(p, _at(top, k))
 
     def __len__(self):
-        return sum(map(len, self._levels.values()))
+        return sum(map(len, self._f._levels.values()))
 
     def values(self):
         return _Values(self)
@@ -95,79 +150,77 @@ class _Values(ValuesView):
     __slots__ = ()
 
     def __iter__(self):
-        for terms in self._mapping._levels.values():
-            yield from terms.values()
+        return chain.from_iterable(terms.values() for terms in self._mapping._f._levels.values())
 
 
-def _add_into(dst: dict, t: tuple, v: int) -> None:
-    """dst[t] += v, dropping the key when it reaches zero."""
-    new = dst.get(t, 0) + v
-    if new:
-        dst[t] = new
-    else:
-        dst.pop(t, None)
-
-
-def _merged(base: dict, terms: dict, shift=None, factor: int = 1) -> dict:
-    """A copy of the level `base` plus factor * `terms`, each term first
-    moved by -shift when a shift is given; zero coefficients are dropped."""
+def _merged(base: dict, terms: dict, shift: int = 0, factor: int = 1) -> dict:
+    """A copy of the level `base` plus factor * `terms`, each key first
+    moved down by the packed `shift`; zero coefficients are dropped."""
     dst = dict(base)
-    if shift is None:
-        for t, v in terms.items():
-            _add_into(dst, t, factor * v)
-    else:
-        for t, v in terms.items():
-            _add_into(dst, tuple(map(sub, t, shift)), factor * v)
+    get = dst.get
+    for k, v in terms.items():
+        k -= shift
+        new = get(k, 0) + factor * v
+        if new:
+            dst[k] = new
+        else:
+            dst.pop(k, None)
     return dst
 
 
 class FormalChar:
     """Sparse exact-integer series, valid on xi-levels >= xi(top) - depth.
 
-    The terms are stored as {xi level: {coefficient tuple: int}}, with no
-    zero coefficient and no empty level.  Level dicts are never mutated
-    once stored, so results may share them with their operands.
+    The terms are stored as {xi-drop below top: {packed offset: int}},
+    with no zero coefficient and no empty level; a term at drop k lies
+    within _spread + k of the top in every coordinate (module docstring).
+    Level dicts and stores are never mutated once stored, so results and
+    Verma characters share them with their operands.
     """
 
-    __slots__ = ("profile", "top", "depth", "_levels")
+    __slots__ = ("profile", "top", "depth", "_levels", "_spread")
 
     def __init__(self, profile, top: Weight, depth: int, coeffs: dict):
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
+        if not 0 <= depth < _BOUND:
+            raise ValueError(f"depth must be nonnegative and below {_BOUND}, got {depth}")
         if top.profile != profile:
             raise ProfileMismatch(f"top {top} is not a weight of {profile}")
         self.profile = profile
         self.top = top
         self.depth = depth
-        ceiling, floor = top.xi, top.xi - depth
         levels: dict = {}
+        self._spread = 0
         for k, v in coeffs.items():
             if k.profile != profile:
                 raise ProfileMismatch(f"weight {k} is not a weight of {profile}")
             if v == 0:
                 continue
-            level = k.xi
-            if level < floor or level > ceiling:
+            if not 0 <= top.xi - k.xi <= depth:
                 raise ValueError(
-                    f"weight {k} at xi-level {level} outside the window [{floor}, {ceiling}]"
+                    f"weight {k} at xi-level {k.xi} outside the window [{self.floor}, {top.xi}]"
                 )
-            levels.setdefault(level, {})[k.coeffs] = v
+            offset = tuple(map(sub, k.coeffs, top.coeffs))
+            self._spread = max(self._spread, *map(abs, offset))
+            if self._spread >= _BOUND:
+                raise ValueError(f"weight {k} lies {_BOUND} or more from the top {top}")
+            levels.setdefault(top.xi - k.xi, {})[_pack(offset)] = v
         self._levels = levels
 
     @classmethod
-    def _make(cls, profile, top: Weight, depth: int, levels: dict) -> "FormalChar":
-        """A ring result: `levels` is already a clean level store."""
+    def _make(cls, profile, top: Weight, depth: int, levels: dict, spread: int = 0) -> "FormalChar":
+        """A ring result: `levels` is already a clean store keyed from top,
+        with the given spread."""
         ceiling, floor = top.xi, top.xi - depth
-        for level in levels:
-            if level < floor or level > ceiling:
+        for drop in levels:
+            if not 0 <= drop <= depth:
                 raise ConsistencyError(
-                    f"ring result has xi-level {level} outside the window [{floor}, {ceiling}]"
+                    f"ring result has xi-level {ceiling - drop} outside the window "
+                    f"[{floor}, {ceiling}]"
                 )
+        if spread + depth >= _HALF:
+            raise PackingError(f"spread {spread} at depth {depth} leaves the packing box")
         f = object.__new__(cls)
-        f.profile = profile
-        f.top = top
-        f.depth = depth
-        f._levels = levels
+        f.profile, f.top, f.depth, f._levels, f._spread = profile, top, depth, levels, spread
         return f
 
     # -- bookkeeping --------------------------------------------------------
@@ -179,21 +232,28 @@ class FormalChar:
     @property
     def coeffs(self) -> Mapping:
         """The terms as a read-only {Weight: int} mapping."""
-        return _Coeffs(self.profile, self._levels)
+        return _Coeffs(self)
+
+    def _get(self, w: Weight) -> int:
+        """The coefficient at w; 0 beyond the spread, so no key aliases w."""
+        drop, offset = self.top.xi - w.xi, tuple(map(sub, w.coeffs, self.top.coeffs))
+        if drop not in self._levels or max(map(abs, offset)) > self._spread + drop:
+            return 0
+        return self._levels[drop].get(_pack(offset), 0)
 
     def coeff(self, w: Weight) -> int:
         if w.profile != self.profile:
             raise ProfileMismatch(f"profile mismatch: {self.profile} vs {w.profile}")
         if w.xi < self.floor:
             raise DepthError(f"{w} lies below the valid cutoff of this series")
-        return self._levels.get(w.xi, {}).get(w.coeffs, 0)
+        return self._get(w)
 
     def _sorted_tuples(self):
-        """(coefficient tuple, coeff) by descending level, then by tuple."""
-        for level in sorted(self._levels, reverse=True):
-            terms = self._levels[level]
-            for t in sorted(terms):
-                yield t, terms[t]
+        """(coefficient tuple, coeff) by descending level, then by tuple (key order)."""
+        for drop in sorted(self._levels):
+            terms = self._levels[drop]
+            for k in sorted(terms):
+                yield _at(self.top, k), terms[k]
 
     def sorted_terms(self):
         return [(Weight(self.profile, t), v) for t, v in self._sorted_tuples()]
@@ -203,132 +263,119 @@ class FormalChar:
 
     # -- ring operations ------------------------------------------------------
 
-    def _levels_from(self, floor: int) -> dict:
-        """The level store cut to levels >= floor, sharing the level dicts."""
-        return {level: terms for level, terms in self._levels.items() if level >= floor}
+    def _cut(self, depth: int) -> dict:
+        """The store cut to drops <= depth: the store itself when nothing is
+        cut, else a new store sharing the level dicts."""
+        if depth >= self.depth:
+            return self._levels
+        return {drop: terms for drop, terms in self._levels.items() if drop <= depth}
 
-    def _join_top(self, other: "FormalChar") -> Weight:
+    def _aligned(self, other: "FormalChar"):
+        """(top, depth, spread, store, store): both series keyed from the
+        join of their tops and cut to the common window; a series whose top
+        is not the join is re-keyed by one constant, key and drop."""
+        if self.profile != other.profile:
+            raise ProfileMismatch(f"profile mismatch: {self.profile} vs {other.profile}")
         a, b = self.top, other.top
-        return a if (a.xi, a.coeffs) >= (b.xi, b.coeffs) else b
+        top = a if (a.xi, a.coeffs) >= (b.xi, b.coeffs) else b
+        depth = top.xi - max(self.floor, other.floor)
+        spread, stores = 0, []
+        for f in (self, other):
+            lift, offset = top.xi - f.top.xi, tuple(map(sub, f.top.coeffs, top.coeffs))
+            spread = max(spread, f._spread + max(map(abs, offset)) - lift)
+            if spread + depth >= _HALF:
+                raise PackingError(f"tops {a} and {b} lie too far apart for the packing box")
+            store, shift = f._cut(depth - lift), _pack(offset)
+            if any(offset):
+                store = {d + lift: {k + shift: v for k, v in t.items()} for d, t in store.items()}
+            stores.append(store)
+        return top, depth, spread, *stores
 
     def __add__(self, other: "FormalChar") -> "FormalChar":
         if not isinstance(other, FormalChar):
             return NotImplemented
-        if self.profile != other.profile:
-            raise ProfileMismatch("cannot add characters of different profiles")
-        top = self._join_top(other)
-        floor = max(self.floor, other.floor)
-        out = self._levels_from(floor)
-        for level, terms in other._levels.items():
-            if level < floor:
-                continue
-            mine = out.get(level)
-            if mine is None:
-                out[level] = terms
-                continue
-            merged = _merged(mine, terms)
-            if merged:
-                out[level] = merged
-            else:
-                del out[level]
-        return FormalChar._make(self.profile, top, top.xi - floor, out)
+        top, depth, spread, mine, theirs = self._aligned(other)
+        out = dict(mine)
+        for drop, terms in theirs.items():
+            out[drop] = _merged(out[drop], terms) if drop in out else terms
+        out = {drop: terms for drop, terms in out.items() if terms}
+        return FormalChar._make(self.profile, top, depth, out, spread)
 
     def scale(self, k: int) -> "FormalChar":
-        out = {}
-        if k:
-            out = {
-                level: {t: k * v for t, v in terms.items()}
-                for level, terms in self._levels.items()
-            }
-        return FormalChar._make(self.profile, self.top, self.depth, out)
+        if k == 1:  # series are immutable, so the unit scale is the series itself
+            return self
+        out = {d: {t: k * v for t, v in ts.items()} for d, ts in self._levels.items()} if k else {}
+        return FormalChar._make(self.profile, self.top, self.depth, out, self._spread)
 
     def mul(self, other: "FormalChar") -> "FormalChar":
-        """Full convolution; valid depth is the smaller of the two."""
+        """Full convolution; valid depth is the smaller of the two.  Offsets
+        and drops below the summed top are sums of the factors' ones."""
         if self.profile != other.profile:
             raise ProfileMismatch("cannot multiply characters of different profiles")
         top = self.top + other.top
         depth = min(self.depth, other.depth)
-        floor = top.xi - depth
         out: dict = {}
-        for la, ta in self._levels.items():
-            for lb, tb in other._levels.items():
-                if la + lb < floor:
-                    continue
-                dst = out.setdefault(la + lb, {})
-                for ka, va in ta.items():
-                    for kb, vb in tb.items():
-                        _add_into(dst, tuple(map(add, ka, kb)), va * vb)
-        out = {level: terms for level, terms in out.items() if terms}
-        return FormalChar._make(self.profile, top, depth, out)
+        for da, ta in self._levels.items():
+            for db, tb in other._levels.items():
+                if da + db <= depth:
+                    for ka, va in ta.items():
+                        out[da + db] = _merged(out.get(da + db, {}), tb, -ka, va)
+        out = {drop: terms for drop, terms in out.items() if terms}
+        return FormalChar._make(self.profile, top, depth, out, self._spread + other._spread)
 
-    def _unit_step(self, beta) -> tuple[tuple[int, ...], int]:
-        """(coefficient tuple, xi level) of a cone-positive unit exponent."""
-        b = beta.as_weight() if isinstance(beta, Root) else beta
-        if b.xi <= 0:
-            raise ValueError(f"unit factor exponent {b} must have positive xi")
-        return b.coeffs, b.xi
-
-    def mul_unit(self, beta, sign: int = 1) -> "FormalChar":
-        """Multiply by (1 + sign * e^{-beta}) for a cone-positive beta."""
-        b, step = self._unit_step(beta)
-        floor = self.floor
+    def mul_unit(self, beta: Root, sign: int = 1) -> "FormalChar":
+        """Multiply by (1 + sign * e^{-beta}) for a root beta of positive xi."""
+        step, lower = _unit_step(beta)
         out = dict(self._levels)
-        for level, terms in self._levels.items():
-            low = level - step
-            if low < floor:
-                continue
-            merged = _merged(out.get(low, {}), terms, b, sign)
-            if merged:
-                out[low] = merged
-            else:
-                out.pop(low, None)
-        return FormalChar._make(self.profile, self.top, self.depth, out)
+        for drop, terms in self._levels.items():
+            if drop + lower <= self.depth:
+                out[drop + lower] = _merged(out.get(drop + lower, {}), terms, step, sign)
+        out = {drop: terms for drop, terms in out.items() if terms}
+        return FormalChar._make(self.profile, self.top, self.depth, out, self._spread)
 
-    def div_unit(self, beta, sign: int = 1) -> "FormalChar":
+    def div_unit(self, beta: Root, sign: int = 1) -> "FormalChar":
         """Divide by (1 + sign * e^{-beta}); exact down to the same floor.
 
-        Solves r_l = f_l - sign * shift_beta(r_{l + xi(beta)}) level by
-        level from the top down, shift_beta moving each term by -beta.
+        Solves r_k = f_k - sign * shift_beta(r_{k - xi(beta)}) drop by drop
+        from the top down, shift_beta moving each term by -beta.
         """
-        b, step = self._unit_step(beta)
-        src, floor = self._levels, self.floor
+        step, lower = _unit_step(beta)
+        src = self._levels
         out: dict = {}
-        for level in range(max(src, default=floor), floor - 1, -1):
-            above = out.get(level + step)
+        for drop in range(min(src, default=self.depth + 1), self.depth + 1):
+            above = out.get(drop - lower)
             if above is None:
-                if level in src:
-                    out[level] = src[level]
+                if drop in src:
+                    out[drop] = src[drop]
                 continue
-            merged = _merged(src.get(level, {}), above, b, -sign)
+            merged = _merged(src.get(drop, {}), above, step, -sign)
             if merged:
-                out[level] = merged
-        return FormalChar._make(self.profile, self.top, self.depth, out)
+                out[drop] = merged
+        return FormalChar._make(self.profile, self.top, self.depth, out, self._spread)
 
     def retruncate(self, depth: int) -> "FormalChar":
         """Restrict validity; deepening beyond the recorded window is refused."""
         if depth > self.depth:
             raise DepthError("cannot extend a truncated series to a deeper window")
-        out = self._levels_from(self.top.xi - depth)
-        return FormalChar._make(self.profile, self.top, depth, out)
+        return FormalChar._make(self.profile, self.top, depth, self._cut(depth), self._spread)
 
     # -- comparison and serialization ------------------------------------------
 
     def equals(self, other: "FormalChar") -> bool:
-        """Exact coefficient equality on the common valid window."""
-        if self.profile != other.profile:
-            raise ProfileMismatch("cannot compare characters of different profiles")
-        floor = max(self.floor, other.floor)
-        return self._levels_from(floor) == other._levels_from(floor)
+        """Exact coefficient equality on the common valid window.  With equal
+        tops the stores are compared as they are, level by level, and a
+        shared level dict costs one identity check."""
+        *_, mine, theirs = self._aligned(other)
+        return mine == theirs
 
     def first_discrepancy(self, other: "FormalChar"):
         """The xi-smallest weight where the two series differ, or None."""
-        floor = max(self.floor, other.floor)
-        mine, theirs = self._levels_from(floor), other._levels_from(floor)
-        for level in sorted(mine.keys() | theirs.keys()):
-            a, b = mine.get(level, {}), theirs.get(level, {})
-            for t in sorted(a.keys() | b.keys()):
-                if a.get(t, 0) != b.get(t, 0):
-                    return (Weight(self.profile, t), a.get(t, 0), b.get(t, 0))
+        top, _, _, mine, theirs = self._aligned(other)
+        for drop in sorted(mine.keys() | theirs.keys(), reverse=True):
+            a, b = mine.get(drop, {}), theirs.get(drop, {})
+            for k in sorted(a.keys() | b.keys()):
+                if a.get(k, 0) != b.get(k, 0):
+                    return (Weight(self.profile, _at(top, k)), a.get(k, 0), b.get(k, 0))
         return None
 
     def to_json_obj(self) -> dict:
@@ -378,8 +425,8 @@ def _verma_at_zero(profile: RankProfile, depth: int) -> FormalChar:
 
     One series per profile is kept, at the deepest depth asked for so
     far; a deeper request rebuilds and replaces it, a shallower one is a
-    cut of it to levels >= -depth.  The cut is exact, as each unit step
-    only moves terms down.
+    cut of it to drops <= depth.  The cut is exact, as each unit step
+    only moves terms down.  At the cached depth the cut is the store itself.
     """
     f = _VERMA_AT_ZERO.get(profile)
     if f is None or f.depth < depth:
@@ -398,19 +445,12 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     Wrong-direction odd factors of b are normalized into the cone, which
     shifts the stored top to lam plus the flipped odd roots, that is to
     lam + rho^b - rho, a shift cached once per Borel.  The unit factors do
-    not depend on the top, and each step (mul_unit, div_unit) acts level
-    by level relative to it, so the character is the series
-    `_verma_at_zero` translated: every coefficient tuple moves by top and
-    every xi level by xi(top).
+    not depend on the top, and the store is keyed relative to the top, so
+    the character is a new top over the cached store of `_verma_at_zero`:
+    no term is touched, and every level dict is shared.
     """
     p = lam.profile
-    top = lam + _rho_b_shift(b)
-    shift, step = top.coeffs, top.xi
-    levels = {
-        level + step: {tuple(map(add, t, shift)): v for t, v in terms.items()}
-        for level, terms in _verma_at_zero(p, depth)._levels.items()
-    }
-    return FormalChar._make(p, top, depth, levels)
+    return FormalChar._make(p, lam + _rho_b_shift(b), depth, _verma_at_zero(p, depth)._levels)
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -485,7 +525,7 @@ def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
     closed = _units(inner, odd_positive_roots(p), even_positive_roots(p))
     if narrow.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")
-    if any(v < 0 for v in narrow.coeffs.values()):
+    if min(narrow.coeffs.values(), default=0) < 0:
         raise ConsistencyError("simple character has a negative coefficient")
     return narrow, closed
 

@@ -107,6 +107,7 @@ class VermaModule:
         self._refund = tuple(reversed(refund))
         self._act_cache: dict = {}
         self._levels: dict = {}
+        self._indices: dict = {}  # weight -> {monomial: index in its weight space}
 
     # -- monomials ---------------------------------------------------------
 
@@ -311,9 +312,11 @@ class VermaModule:
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
         """elem over nu's weight-space basis; a term of another weight is a ConsistencyError."""
-        monos = self.weight_space_monomials(nu)
-        index = {m: k for k, m in enumerate(monos)}
-        vec = [0] * len(monos)
+        index = self._indices.get(nu)
+        if index is None:
+            monos = self.weight_space_monomials(nu)
+            index = self._indices[nu] = {m: k for k, m in enumerate(monos)}
+        vec = [0] * len(index)
         for mono, coeff in elem.terms.items():
             k = index.get(mono)
             if k is None:

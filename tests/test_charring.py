@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superchar import charring
+from superchar import bggcheck, charring
 from superchar.bggcheck import character_shift_sweep, euler_check
 from superchar.borels import antidistinguished, distinguished, enumerate_borels
 from superchar.charring import (
@@ -158,17 +158,22 @@ def test_ring_laws_property(case):
 
 
 def assert_level_store(f):
-    """f's terms sit at their own xi level, inside the window, with no
-    zero coefficient and no empty level, and `coeffs` shows exactly them."""
+    """Each key of f is a packed offset inside the box, within the spread
+    of its level, and its xi-drop below the top is that level, inside the
+    window; no coefficient is zero and no level is empty, and `coeffs`
+    shows exactly these terms."""
     p = f.profile
     rebuilt = {}
-    for level, terms in f._levels.items():
-        assert terms, f"empty level {level}"
-        assert f.floor <= level <= f.top.xi
-        for t, v in terms.items():
+    for drop, terms in f._levels.items():
+        assert terms, f"empty level {drop}"
+        assert 0 <= drop <= f.depth
+        for k, v in terms.items():
             assert v != 0
-            assert sum(map(operator.mul, t, p.xi)) == level
-            rebuilt[Weight(p, t)] = v
+            offset = charring._unpack(k, p.dim)
+            assert charring._pack(offset) == k  # k is the packing of a box offset
+            assert max(map(abs, offset)) <= f._spread + drop < charring._HALF
+            assert -sum(map(operator.mul, offset, p.xi)) == drop
+            rebuilt[Weight(p, tuple(map(operator.add, f.top.coeffs, offset)))] = v
     assert dict(f.coeffs.items()) == rebuilt
     assert len(f.coeffs) == len(rebuilt)
     assert sorted(f.coeffs.values()) == sorted(rebuilt.values())
@@ -205,6 +210,97 @@ def test_window_checks():
         FormalChar._make(p, top, 2, {top.xi + 1: {(top + gamma).coeffs: 1}})
 
 
+# -- packed keys ------------------------------------------------------------------
+
+@st.composite
+def box_offsets(draw):
+    """An offset in the packing box and two in its half, of one length."""
+    dim, half = draw(st.integers(1, 12)), charring._HALF
+
+    def offset(bound):
+        return tuple(draw(st.lists(st.integers(1 - bound, bound - 1), min_size=dim, max_size=dim)))
+
+    return dim, offset(half), offset(half // 2), offset(half // 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_offsets())
+def test_packing_round_trip_linearity_and_order(case):
+    dim, o, a, b = case
+    assert charring._unpack(charring._pack(o), dim) == o
+    total = tuple(map(operator.add, a, b))
+    assert charring._pack(a) + charring._pack(b) == charring._pack(total)
+    assert charring._unpack(charring._pack(a) + charring._pack(b), dim) == total
+    # in the box, keys order as their offsets: sorted_terms relies on it
+    assert (charring._pack(a) < charring._pack(b)) == (a < b)
+
+
+def _aliasing_offset(p):
+    """A nonzero offset of xi 0 that packs to 0, far outside the box: a
+    weight moved by it lands on the same level and the same key."""
+    r = charring._RADIX
+    # v_i = r e_i - e_{i-1} packs to 0; combine v_1 and v_2 so that xi cancels
+    v1 = [0] * p.dim
+    v1[0], v1[1] = -1, r
+    v2 = [0] * p.dim
+    v2[1], v2[2] = -1, r
+    xi1, xi2 = (sum(map(operator.mul, v, p.xi)) for v in (v1, v2))
+    c = tuple(xi2 * x - xi1 * y for x, y in zip(v1, v2))
+    assert any(c) and charring._pack(c) == 0 and sum(map(operator.mul, c, p.xi)) == 0
+    return Weight(p, c)
+
+
+def test_aliased_weight_reads_zero():
+    for p in (P(2, 1), P(2, 2), P(3, 3)):
+        c = _aliasing_offset(p)
+        f = char_verma(distinguished(p), Weight(p, tuple(range(p.dim))), 4)
+        assert len(f.coeffs) > 1
+        for w in list(f.coeffs):
+            # w + c reads w's level and w's key, which holds a nonzero coefficient
+            aliased = w + c
+            assert aliased.xi == w.xi
+            assert charring._pack((aliased - f.top).coeffs) in f._levels[f.top.xi - w.xi]
+            assert f.coeff(aliased) == 0 and f.coeff(w - c) == 0
+            assert aliased not in f.coeffs
+
+
+def test_constructor_refuses_a_deep_window_and_a_far_term():
+    p = P(2, 1)
+    top = weight_from_blocks(p, [1, 0], [0])
+    flat = Weight(p, (1, -2, 1))  # xi 0: a term at the top's level
+    assert FormalChar(p, top, charring._BOUND - 1, {}).depth == charring._BOUND - 1
+    with pytest.raises(ValueError, match="below"):
+        FormalChar(p, top, charring._BOUND, {})
+    k = charring._BOUND // 2
+    near = FormalChar(p, top, 2, {top: 1, top + (k - 1) * flat: 5})
+    assert near.coeff(top + (k - 1) * flat) == 5
+    assert_level_store(near)
+    with pytest.raises(ValueError, match="from the top"):
+        FormalChar(p, top, 2, {top: 1, top + k * flat: 5})
+    with pytest.raises(ValueError, match="from the top"):
+        FormalChar(p, top, 2, {top - k * flat: 5})
+
+
+def test_far_apart_tops_raise_instead_of_aliasing():
+    p = P(2, 1)
+    top = weight_from_blocks(p, [1, 0], [0])
+    flat = Weight(p, (1, -2, 1))
+    a = monomial(top, 3).mul_unit(Root(p, 1, 2), -1)
+    near = monomial(top + (charring._BOUND // 2) * flat, 3)
+    total = a + near
+    assert dict(total.coeffs.items()) == {**dict(a.coeffs.items()), **dict(near.coeffs.items())}
+    assert_level_store(total)
+    assert not a.equals(near) and (a + near).equals(near + a)
+    far = monomial(top + (charring._HALF // 2) * flat, 3)
+    for x, y in ((a, far), (far, a)):
+        with pytest.raises(charring.PackingError):
+            x + y
+        with pytest.raises(charring.PackingError):
+            x.equals(y)
+        with pytest.raises(charring.PackingError):
+            x.first_discrepancy(y)
+
+
 def test_constructor_refuses_another_profile():
     # gl(2|1) and gl(1|2) weights have the same length, so only the check tells them apart
     p, q = P(2, 1), P(1, 2)
@@ -225,7 +321,8 @@ def even_verma(lam, depth):
 
 def test_ring_operations_build_no_weight_per_term(monkeypatch):
     """div_unit, mul_unit, mul, + and equals build a fixed number of
-    Weights, however many terms their operands hold."""
+    Weights, however many terms their operands hold; a unit step builds
+    none, even with its root's packed step not yet cached."""
     p = P(2, 2)
     lam = weight_from_blocks(p, [3, 1], [0, -2])
     beta = Root(p, 1, 3)
@@ -243,8 +340,10 @@ def test_ring_operations_build_no_weight_per_term(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(Weight, "__post_init__", counting)
+            charring._unit_step.cache_clear()
             f.div_unit(beta, 1)
             f.mul_unit(beta, -1)
+            assert built == []
             f.mul(g)
             f + g
             f.equals(g)
@@ -257,6 +356,8 @@ def test_divide_rejects_nonpositive_direction():
     f = monomial(zero_weight(p), 3)
     with pytest.raises(ValueError):
         f.div_unit(Root(p, 2, 1), 1)  # delta-minus-eps direction
+    with pytest.raises(TypeError):
+        f.div_unit(Root(p, 1, 2).as_weight(), 1)  # unit exponents are roots
 
 
 def test_coeff_query_below_floor_raises():
@@ -813,6 +914,35 @@ def test_char_verma_top_is_lam_plus_the_flipped_roots():
                 assert char_verma(b, lam, 0).top == top
 
 
+def test_char_verma_shares_the_cached_levels(monkeypatch):
+    """Translation touches no term: every level dict of a Verma character
+    is the cached series' own, at a rebuilt, a cut and a cached depth."""
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    for p in (P(2, 2), P(3, 2)):
+        lam = Weight(p, tuple(range(p.dim, 0, -1)))
+        for depth in (3, 5, 2, 5):
+            cached = charring._verma_at_zero(p, depth)
+            for b in enumerate_borels(p):
+                got = char_verma(b, lam, depth)
+                assert got._levels.keys() == cached._levels.keys()
+                assert all(got._levels[d] is cached._levels[d] for d in got._levels)
+
+
+def test_sweep_charts_share_one_store(monkeypatch):
+    """The pair equalities of a sweep compare one store with itself."""
+    charts = []
+
+    def recording(b, lam, depth):
+        charts.append(char_verma(b, lam, depth))
+        return charts[-1]
+
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    monkeypatch.setattr(bggcheck, "char_verma", recording)
+    assert character_shift_sweep(P(2, 2), trials=2, depth=4, seed=0).passed
+    assert len(charts) == 2 * 6 + bggcheck.SWEEP_MISMATCHES * 2
+    assert len({id(f._levels) for f in charts}) == 1
+
+
 def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
     monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     p = P(2, 2)
@@ -824,13 +954,15 @@ def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
 
 
 def test_cached_verma_series_is_cross_checked(monkeypatch):
-    """One wrong coefficient in the cache, on its lowest level, is caught by
-    the product form of char_narrow and by the Euler identity."""
+    """One wrong coefficient in the cache, on its lowest level (the largest
+    xi-drop), is caught by the product form of char_narrow and by the Euler
+    identity."""
     p, depth = P(3, 3), 6
     lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
     monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     cached = charring._verma_at_zero(p, depth)
-    low = min(cached._levels)
+    low = max(cached._levels)
+    assert low == depth
     terms = dict(cached._levels[low])
     t = min(terms)
     terms[t] += 1

@@ -292,6 +292,30 @@ def test_weight_space_profile_mismatch():
         module.weight_space_monomials(weight_from_blocks(P(3, 1), [1, 0, 0], [1]))
 
 
+def test_coordinates_index_each_weight_space_once(monkeypatch):
+    p = P(2, 2)
+    module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [0, -2]))
+    nu = module.lam - Root(p, 1, 3).as_weight() - Root(p, 1, 2).as_weight()
+    monos = module.weight_space_monomials(nu)
+    assert len(monos) > 1
+    asked = []
+    original = VermaModule.weight_space_monomials
+
+    def counting(self, w):
+        asked.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(VermaModule, "weight_space_monomials", counting)
+    for k, mono in enumerate(monos):
+        vec = module.coordinates(module.element({mono: 7}), nu)
+        assert vec == [7 if i == k else 0 for i in range(len(monos))]
+    assert asked == [nu]
+    # an index is kept per weight, profile included, so another profile still refuses
+    stranger = Weight(P(3, 1), nu.coeffs)
+    with pytest.raises(ProfileMismatch):
+        module.coordinates(module.element({}), stranger)
+
+
 # -- generator action -----------------------------------------------------------
 
 
