@@ -1,8 +1,9 @@
 """Orchestrated cross-checks of the character and Verma-module machinery.
 
 The headline check compares the alternating sum of narrow characters
-over the Weyl group with the closed simple-module character, exactly,
-coefficient by coefficient on a truncation window.  For the rank-one
+over the Weyl group with the closed simple-module character
+`char_simple_td`, exactly, coefficient by coefficient on a truncation
+window; it is the one place where the two are compared.  For the rank-one
 Weyl groups the narrow resolution is also verified at the level of
 weight-space ranks.  Exactness of the full complex beyond rank one is
 certified only at this Euler-characteristic level; every report says
@@ -21,10 +22,10 @@ from . import diagrams
 from .borels import borel_graph, distinguished, enumerate_borels
 from .charring import (
     FormalChar,
-    _simple_td_sides,
     char_narrow,
     char_simple_td,
     char_verma,
+    zero_char,
 )
 from .rootdata import (
     RankProfile,
@@ -39,6 +40,7 @@ from .rootdata import (
     rho_b,
     weight_from_blocks,
     weight_from_coords,
+    weyl_window,
 )
 from .vermacalc import (
     VermaModule,
@@ -68,8 +70,9 @@ def _report_obj(check: str, lam: Weight, depth: int, passed: bool, details: dict
 
 @dataclass
 class EulerReport:
-    """lhs is the Euler characteristic of the narrow resolution, rhs the
-    closed prefactor form of the simple character."""
+    """lhs is the Euler characteristic of the narrow resolution, each
+    summand `char_narrow` with its own quotient/product check; rhs is the
+    closed prefactor form of the simple character, `char_simple_td`."""
 
     lam: Weight
     depth: int
@@ -92,11 +95,18 @@ class EulerReport:
 
 
 def euler_check(lam: Weight, depth: int) -> EulerReport:
-    """The Euler characteristic of the narrow resolution (lhs) against the
-    closed prefactor form of the simple character (rhs)."""
+    """The Euler characteristic of the narrow resolution, sum over the Weyl
+    window of sign(w) ch N(w.lam) (lhs), against the closed prefactor form
+    `char_simple_td` (rhs), on the window below lam.  The summands of sign
+    -1 are summed apart and negated once."""
     if not diagrams.is_g1_generic(lam):
         raise ValueError(f"{lam} is not g_-1-generic")
-    lhs, rhs = _simple_td_sides(lam, depth)
+    rhs = char_simple_td(lam, depth)
+    floor = lam.xi - depth
+    signed = {1: zero_char(lam.profile, lam, depth), -1: zero_char(lam.profile, lam, depth)}
+    for w, nu in weyl_window(lam, depth):
+        signed[w.sign] += char_narrow(nu, nu.xi - floor, warn=False)
+    lhs = signed[1] + signed.pop(-1).scale(-1)  # popped, so freed once negated
     equal = lhs.equals(rhs)
     return EulerReport(lam, depth, lhs, rhs, equal, None if equal else lhs.first_discrepancy(rhs))
 

@@ -55,7 +55,7 @@ from .rootdata import (
     RankProfile,
     Root,
     Weight,
-    _rho_b_shift,
+    rho_b_shift,
     atypicality,
     classify,
     even_positive_roots,
@@ -450,7 +450,7 @@ def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     no term is touched, and every level dict is shared.
     """
     p = lam.profile
-    return FormalChar._make(p, lam + _rho_b_shift(b), depth, _verma_at_zero(p, depth)._levels)
+    return FormalChar._make(p, lam + rho_b_shift(b), depth, _verma_at_zero(p, depth)._levels)
 
 
 def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -495,20 +495,19 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
     return product
 
 
-def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
-    """(narrow, closed): the two sides of the Weyl-type simple character at
-    a totally disconnected regular dominant lam, on the window below lam.
+def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
+    """Finite Weyl-type character of the simple module at a totally
+    disconnected regular dominant lam, on the window below lam, in its
+    closed prefactor form ch M(0) * sum over w of sign(w) e^{w.lam} / prod
+    over Gamma(w.lam) (1+e^{-beta}).
 
-    narrow is the Euler characteristic of the narrow resolution,
-    sum over w of sign(w) ch N(w.lam), each summand `char_narrow` with its
-    own quotient/product cross-check.  closed is the prefactor form
-    ch M(0) * sum over w of sign(w) e^{w.lam} / prod over Gamma(w.lam)
-    (1+e^{-beta}), with the ch M(0) unit factors applied once to the whole
-    inner sum (unit factors commute, and both are exact on the window).
     Gamma(w.lam) = w(Gamma(lam)), as W only permutes the odd roots; a
     Weyl-independent denominator fails against the exact rank computations
-    of the narrow submodules.  The top-weight normalization and the
-    nonnegativity of narrow are checked here.
+    of the narrow submodules.  The ch M(0) unit factors are applied once to
+    the whole inner sum (unit factors commute, and both are exact on the
+    window); its summands of sign -1 are summed apart and negated once.
+    Top coefficient 1 and nonnegativity are checked here; the equality with
+    the narrow resolution's Euler characteristic is `bggcheck.euler_check`.
     """
     p = lam.profile
     flags = classify(lam)
@@ -517,26 +516,14 @@ def _simple_td_sides(lam: Weight, depth: int) -> tuple[FormalChar, FormalChar]:
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
     floor = lam.xi - depth
-    narrow = inner = zero_char(p, lam, depth)
+    signed = {1: zero_char(p, lam, depth), -1: zero_char(p, lam, depth)}
     for w, nu in weyl_window(lam, depth):
         gamma = _by_index(atypicality(nu).gamma)
-        narrow = narrow + char_narrow(nu, nu.xi - floor, warn=False).scale(w.sign)
-        inner = inner + _units(monomial(nu, nu.xi - floor), atypical=gamma).scale(w.sign)
-    closed = _units(inner, odd_positive_roots(p), even_positive_roots(p))
-    if narrow.coeff(lam) != 1:
+        signed[w.sign] += _units(monomial(nu, nu.xi - floor), atypical=gamma)
+    inner = signed[1] + signed.pop(-1).scale(-1)
+    chi = _units(inner, odd_positive_roots(p), even_positive_roots(p))
+    if chi.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")
-    if min(narrow.coeffs.values(), default=0) < 0:
+    if min(chi.coeffs.values(), default=0) < 0:
         raise ConsistencyError("simple character has a negative coefficient")
-    return narrow, closed
-
-
-def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
-    """Finite Weyl-type character of the simple module at a totally
-    disconnected regular dominant weight: the Euler characteristic of the
-    narrow resolution, which must equal the closed prefactor form exactly.
-    A mismatch is a convention bug, not a math failure.
-    """
-    narrow, closed = _simple_td_sides(lam, depth)
-    if not narrow.equals(closed):
-        raise ConsistencyError("simple-character expressions disagree")
-    return narrow
+    return chi

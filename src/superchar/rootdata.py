@@ -347,11 +347,11 @@ def rho1_doubled(borel) -> Weight:
 @lru_cache(maxsize=None)
 def rho_b(borel) -> Weight:
     """rho + (rho1^{()} - rho1^b); equals rho plus the flipped odd roots."""
-    return rho(borel.profile) + _rho_b_shift(borel)
+    return rho(borel.profile) + rho_b_shift(borel)
 
 
 @lru_cache(maxsize=None)
-def _rho_b_shift(borel) -> Weight:
+def rho_b_shift(borel) -> Weight:
     """rho^b - rho: the sum of the flipped odd roots, zero for the
     distinguished Borel."""
     total = zero_weight(borel.profile)
@@ -374,33 +374,35 @@ def weyl_window(lam: Weight, depth: int) -> list[tuple[WeylElt, Weight]]:
     """Every (w, w.lam) with xi(lam) - xi(w.lam) <= depth, shortest w first.
 
     A breadth-first walk from the identity, left-multiplying by simple
-    reflections and pruning each w whose dot image is below the floor.  It
-    is exact for dominant lam, where lam + rho is weakly decreasing in each
-    block: for a simple root alpha = eps_a - eps_b, s_alpha w.lam = w.lam - c alpha
-    with c = (w(lam + rho))_a - (w(lam + rho))_b >= 0 when s_alpha w is longer
-    than w, and xi(alpha) > 0.  So a length-raising left multiplication never
-    lowers the drop, and each right-hand factor s_ik ... s_i1 of a reduced
-    word of a window element lies in the window.  A window over
+    reflections and pruning, before s_alpha w is built, each step whose dot
+    image is below the floor.  It is exact for dominant lam, where lam + rho
+    is weakly decreasing in each block: for a simple root alpha = eps_a - eps_b,
+    s_alpha w.lam = w.lam - c alpha with c = (w(lam + rho))_a - (w(lam + rho))_b
+    >= 0 when s_alpha w is longer than w, and xi(alpha) > 0.  So a
+    length-raising left multiplication never lowers the drop, and each
+    right-hand factor s_ik ... s_i1 of a reduced word of a window element
+    lies in the window: an element of length l is met at step l, and a step
+    that lowers the drop meets a shorter one, already seen.  A window over
     DEFAULT_WEYL_BOUND raises EnumerationBound before anything is returned.
     """
     if not classify(lam).dominant:
         raise ValueError(f"{lam} is not dominant")
-    p = lam.profile
-    simple = [reflection(r) for r in even_positive_roots(p) if r.j == r.i + 1]
+    p, shift = lam.profile, rho(lam.profile).coeffs
+    simple = [(r.i - 1, r.j - 1, reflection(r)) for r in even_positive_roots(p) if r.j == r.i + 1]
     start = identity_weyl(p)
     window = [(start, lam)] if depth >= 0 else []
     seen = {start}
-    for w, _ in window:  # grows while it is read: the breadth-first queue
-        for s in simple:
-            v = s * w
-            if v in seen:
+    for w, nu in window:  # grows while it is read: the breadth-first queue
+        mu = tuple(map(operator.add, nu.coeffs, shift))  # w(lam + rho)
+        for a, b, s in simple:
+            # s swaps mu_a and mu_b: the drop of s w.lam over that of w.lam
+            lower = (mu[a] - mu[b]) * (p.xi[a] - p.xi[b])
+            if lower < 0 or lam.xi - nu.xi + lower > depth or (v := s * w) in seen:
                 continue
             seen.add(v)
-            nu = dot_action(v, lam)
-            if lam.xi - nu.xi <= depth:
-                window.append((v, nu))
-                if len(window) > DEFAULT_WEYL_BOUND:
-                    raise EnumerationBound(f"Weyl window exceeds bound {DEFAULT_WEYL_BOUND}")
+            window.append((v, dot_action(v, lam)))
+            if len(window) > DEFAULT_WEYL_BOUND:
+                raise EnumerationBound(f"Weyl window exceeds bound {DEFAULT_WEYL_BOUND}")
     return window
 
 
@@ -488,5 +490,5 @@ def atypicality(lam: Weight, borel=None) -> Atypicality:
     c = encode(lam)
     gamma = frozenset(beta for beta in odd_positive_roots(p) if c[beta.i - 1] == c[beta.j - 1])
     if borel is not None:
-        c = encode(lam + _rho_b_shift(borel))
+        c = encode(lam + rho_b_shift(borel))
     return Atypicality(sum((Counter(c[:m]) & Counter(c[m:])).values()), gamma)

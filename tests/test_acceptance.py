@@ -18,7 +18,7 @@ from superchar.bggcheck import (
     verma_count_check,
 )
 from superchar.borels import borel_graph, distinguished, enumerate_borels
-from superchar.charring import char_simple_td
+from superchar.charring import char_narrow, char_simple_td, zero_char
 from superchar.diagrams import (
     is_g1_generic,
     is_totally_disconnected,
@@ -33,6 +33,7 @@ from superchar.rootdata import (
     rho_b,
     weight_from_coords,
     weyl_group,
+    weyl_window,
 )
 from superchar.vermacalc import VermaModule, primitive_space_dim, singular_vector_even
 
@@ -217,8 +218,13 @@ def test_criterion_09_simple_character_internal_consistency():
             if not is_totally_disconnected(lam):
                 continue
             sampled.add(lam)
-            # the narrow sum and the closed form are compared inside; a mismatch raises
+            # compared here, as euler_check refuses the weights that are not
+            # g_-1-generic; char_simple_td checks its top coefficient itself
             chart = char_simple_td(lam, 8)
+            narrow = zero_char(p, lam, 8)
+            for w, nu in weyl_window(lam, 8):
+                narrow = narrow + char_narrow(nu, nu.xi - lam.xi + 8, warn=False).scale(w.sign)
+            assert narrow.equals(chart), narrow.first_discrepancy(chart)
             assert chart.coeff(lam) == 1
     elapsed = time.perf_counter() - start
     report(9, "narrow sum and closed simple character agree at depth 8, 10 weights per profile", elapsed, 120)

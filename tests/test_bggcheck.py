@@ -73,13 +73,8 @@ def test_euler_discrepancy_only_on_inequality(monkeypatch):
 
     monkeypatch.setattr(FormalChar, "first_discrepancy", counted)
     assert euler_check(lam, 4).first_discrepancy is None and not calls
-    sides = bggcheck._simple_td_sides
-
-    def doubled(mu, d):
-        narrow, closed = sides(mu, d)
-        return narrow, closed.scale(2)
-
-    monkeypatch.setattr(bggcheck, "_simple_td_sides", doubled)
+    simple = bggcheck.char_simple_td
+    monkeypatch.setattr(bggcheck, "char_simple_td", lambda mu, d: simple(mu, d).scale(2))
     report = euler_check(lam, 4)
     assert not report.equal and len(calls) == 1
     _, lhs, rhs = report.first_discrepancy

@@ -17,7 +17,6 @@ from superchar.charring import (
     DepthError,
     FormalChar,
     _by_index,
-    _simple_td_sides,
     _units,
     char_even_simple,
     char_kac,
@@ -824,22 +823,51 @@ def test_closed_sums_equal_summand_by_summand(case):
     assert char_even_simple(mu, depth).to_json_obj() == expected.to_json_obj()
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(WINDOW_PROFILES), st.data())
-def test_euler_closed_side_equals_the_convolution(p, data):
-    """closed = ch M(0) * (the alternating sum over the window of
-    e^{w.lam} / prod over Gamma(w.lam) (1+e^{-beta})), as a convolution."""
-    eps = sorted(data.draw(st.lists(st.integers(0, 7), unique=True, min_size=p.m, max_size=p.m)))
-    delta = sorted(data.draw(st.lists(st.integers(0, 7), unique=True, min_size=p.n, max_size=p.n)))
+@st.composite
+def td_weights(draw):
+    """(lam, depth): a regular dominant totally disconnected weight of a
+    small profile, generic or not, and a depth in 0..5."""
+    p = draw(st.sampled_from(WINDOW_PROFILES))
+    eps = sorted(draw(st.lists(st.integers(0, 7), unique=True, min_size=p.m, max_size=p.m)))
+    delta = sorted(draw(st.lists(st.integers(0, 7), unique=True, min_size=p.n, max_size=p.n)))
     lam = weight_from_coords(p, eps[::-1], delta)
     assume(is_totally_disconnected(lam))
-    depth = data.draw(st.integers(0, 5))
+    return lam, draw(st.integers(0, 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(td_weights())
+def test_euler_closed_side_equals_the_convolution(case):
+    """char_simple_td = ch M(0) * (the alternating sum over the window of
+    e^{w.lam} / prod over Gamma(w.lam) (1+e^{-beta})), as a convolution."""
+    lam, depth = case
+    p = lam.profile
     window = [(nu, w.sign) for w, nu in weyl_window(lam, depth)]
     inner = _summand_by_summand(
         lam, depth, window, lambda nu: {"atypical": _by_index(atypicality(nu).gamma)}
     )
     expected = char_verma(distinguished(p), zero_weight(p), depth).mul(inner)
-    assert _simple_td_sides(lam, depth)[1].to_json_obj() == expected.to_json_obj()
+    assert char_simple_td(lam, depth).to_json_obj() == expected.to_json_obj()
+
+
+def narrow_euler_sum(lam, depth):
+    """sum over the window of sign(w) ch N(w.lam), summand by summand."""
+    floor = lam.xi - depth
+    total = zero_char(lam.profile, lam, depth)
+    for w, nu in weyl_window(lam, depth):
+        total = total + char_narrow(nu, nu.xi - floor, warn=False).scale(w.sign)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(td_weights())
+def test_simple_td_is_the_narrow_euler_sum(case):
+    """The ring identity behind `euler_check`, also where it refuses the
+    weight as not g_-1-generic: the narrow summands and the closed ones are
+    the same unit factors applied in another order."""
+    lam, depth = case
+    got, expected = char_simple_td(lam, depth), narrow_euler_sum(lam, depth)
+    assert got.to_json_obj() == expected.to_json_obj()
 
 
 def test_closed_sums_divide_by_each_even_factor_once(monkeypatch):
@@ -866,8 +894,38 @@ def test_euler_closed_side_is_no_convolution(monkeypatch):
 
     monkeypatch.setattr(FormalChar, "mul", convolution)
     lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
-    narrow, closed = _simple_td_sides(lam, 6)
-    assert narrow.equals(closed)
+    assert euler_check(lam, 6).equal
+
+
+def test_simple_td_makes_no_narrow_call(monkeypatch):
+    def narrow(*args, **kwargs):
+        raise AssertionError("char_narrow called")
+
+    monkeypatch.setattr(charring, "char_narrow", narrow)
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    assert char_simple_td(lam, 6).coeff(lam) == 1
+
+
+def test_weyl_sums_negate_once(monkeypatch):
+    """Each alternating sum negates its summands of sign -1 together, not
+    one copy per summand."""
+    negated = []
+    scale = FormalChar.scale
+
+    def counting(self, k):
+        if k == -1:
+            negated.append(self)
+        return scale(self, k)
+
+    monkeypatch.setattr(FormalChar, "scale", counting)
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    window = list(weyl_window(lam, 10))
+    assert sum(w.sign == -1 for w, _ in window) >= 2
+    char_simple_td(lam, 10)
+    assert len(negated) == 1
+    negated.clear()
+    assert euler_check(lam, 10).equal
+    assert len(negated) == 2
 
 
 # -- one Verma series per profile -----------------------------------------------

@@ -317,16 +317,11 @@ def test_suite_verification_failure_exits_one(capsys, monkeypatch):
 
 
 def test_euler_failure_exits_one(capsys, monkeypatch):
-    """With the closed side perturbed, `euler` reports a verification
-    failure, while `char --type simple-td` meets an internal inconsistency."""
-    sides = charring._simple_td_sides
-
-    def doubled(lam, depth):
-        narrow, closed = sides(lam, depth)
-        return narrow, closed.scale(2)
-
-    monkeypatch.setattr(charring, "_simple_td_sides", doubled)
-    monkeypatch.setattr(bggcheck, "_simple_td_sides", doubled)
+    """With the closed side doubled, `euler` reports a verification
+    failure; with every monomial doubled, `char --type simple-td` meets an
+    internal inconsistency at its top coefficient."""
+    simple = bggcheck.char_simple_td
+    monkeypatch.setattr(bggcheck, "char_simple_td", lambda lam, depth: simple(lam, depth).scale(2))
     weight = ["--m", "2", "--n", "1", "--coords", "3,0/3", "--depth", "4"]
     code, out, err = run(capsys, ["euler", *weight])
     assert (code, err) == (1, "")
@@ -336,9 +331,12 @@ def test_euler_failure_exits_one(capsys, monkeypatch):
     obj = json.loads(out)
     assert code == 1 and obj["pass"] is False
     assert set(obj["details"]["first_discrepancy"]) == {"weight", "lhs", "rhs"}
+    monkeypatch.setattr(
+        charring, "monomial", lambda lam, depth: charring.FormalChar(lam.profile, lam, depth, {lam: 2})
+    )
     code, out, err = run(capsys, ["char", "--type", "simple-td", *weight])
     assert (code, out) == (4, "")
-    assert err == "error: simple-character expressions disagree\n"
+    assert err == "error: simple character is not normalized at its top weight\n"
 
 
 def test_consistency_error_exit_four(capsys, monkeypatch):

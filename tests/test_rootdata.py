@@ -11,6 +11,7 @@ from superchar.rootdata import (
     RankProfile,
     Root,
     Weight,
+    WeylElt,
     atypicality,
     ber,
     basis_weight,
@@ -528,6 +529,19 @@ def test_atypical_set_moves_with_the_dot_action(lam):
     for w in weyl_group(lam.profile):
         moved = {beta.as_weight() for beta in atypicality(dot_action(w, lam)).gamma}
         assert moved == {w.act(beta) for beta in gamma}
+
+
+def test_weyl_window_builds_only_window_elements(monkeypatch):
+    """Steps below the floor, or back to a shorter w, are pruned before
+    the product s w is built."""
+    built = []
+    mul = WeylElt.__mul__
+    monkeypatch.setattr(WeylElt, "__mul__", lambda s, w: built.append(mul(s, w)) or built[-1])
+    for p, eps, delta, depth in [(P(4, 3), [16, 11, 6, 1], [1, 6, 11], 6), (P(3, 3), [2, 1, 1], [1, 1, 3], 5)]:
+        lam = weight_from_coords(p, eps, delta)
+        built.clear()
+        window = {w for w, _ in weyl_window(lam, depth)}
+        assert len(window) > 3 and set(built) <= window
 
 
 def test_weyl_window_refusals():

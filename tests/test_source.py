@@ -22,6 +22,34 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _private_imports(tree):
+    """Each `_`-prefixed name that a module imports from a package module,
+    or reads as an attribute of one it imported with `from . import`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("superchar")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name stays private to its module: a second module that needs
+    # it needs a public name
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _private_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 def _load_bench(name):
     """perfbench/<name>.py, loaded by path."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "perfbench" / f"{name}.py")
