@@ -8,12 +8,22 @@ by index pair), then odd factors (lex), odd exponents at most one.
 The order is a normalization choice only; every check downstream is
 rank-based, never coefficient-literal.
 
+A monomial is one non-negative int: slot k's exponent is a 16-bit
+digit, slot 0 the most significant (`VermaModule.pack` and `unpack`).
+Numeric order is then lexicographic exponent order, the leading slot is
+read off the bit length, and multiplying by or dividing out one factor
+is one addition or subtraction of the slot's unit.  An exponent that
+would reach 2^16 raises `EnumerationBound` before a digit can carry:
+in `pack`, in the level walk and in the direct product of `act_basis`.
+
 Generator action straightens words against the highest-weight
 relations: raising vectors die on the highest vector, Cartan elements
 act by the weight, and out-of-order products are rewritten with the
-supercommutator.  Every coefficient is an integer: the straightening,
-the elements it produces and the row reduction of their coordinates
-use no rationals.
+supercommutator, read from one table per Borel keyed by (generator,
+leading slot).  Every coefficient is an integer: the straightening, the
+elements it produces and the row reduction of their coordinates use no
+rationals, and each cached straightening is a dict of ints, which the
+cyclic garbage collector does not track.
 
 A weight space is read from its level: the monomials at one xi-drop
 below the highest weight, bucketed by weight.  A module walks each of
@@ -28,13 +38,15 @@ the odd product.
 A submodule generated by a vector that the distinguished raisers kill is
 the image of a distinguished Verma module, so its ranks come from one
 memoised `apply` per source PBW monomial, whose weight is known before
-it straightens.
+it straightens.  No structure on this path refers back to itself, so
+the modules, memos and caches a call builds are freed when it returns.
 """
 
 from __future__ import annotations
 
 import os
-from operator import add, sub
+from functools import lru_cache
+from operator import sub
 
 from .borels import BorelElt, antidistinguished, distinguished
 from .linalg import RowBasis, matrix_rank
@@ -55,6 +67,8 @@ from .rootdata import (
 )
 
 DEFAULT_MAX_CELLS = 250_000
+DIGIT_BITS = 16  # bits per PBW exponent in a packed monomial
+DIGIT_MASK = (1 << DIGIT_BITS) - 1
 
 
 def pair_parity(profile: RankProfile, pair: tuple[int, int]) -> int:
@@ -77,6 +91,15 @@ def supercommutator(profile: RankProfile, x: tuple[int, int], y: tuple[int, int]
 # Verma modules
 
 
+@lru_cache(maxsize=None)
+def _straightening_rules(borel: BorelElt) -> dict:
+    """(generator x, slot t) -> (z, [x, z] as (coeff, pair) terms, sign):
+    what commuting x past the lowering vector z of slot t leaves, and the
+    sign of the swap.  It depends on the Borel alone, so every Verma module
+    of the Borel fills and reads one table, kept like the Borel's views."""
+    return {}
+
+
 class VermaModule:
     """M^b(lam) with its canonical PBW monomial basis."""
 
@@ -93,8 +116,12 @@ class VermaModule:
         self.neg_pairs: tuple[tuple[int, int], ...] = tuple((r.j, r.i) for r in positives)
         self.neg_parity: tuple[bool, ...] = tuple(r.is_odd for r in positives)
         self.neg_index = {p: k for k, p in enumerate(self.neg_pairs)}
-        self.raising_pairs = frozenset((r.i, r.j) for r in positives)
-        self.zero_mono = (0,) * len(self.neg_pairs)
+        self.zero_mono = 0
+        # slot k's exponent is the digit at _shifts[k]; _units[k] is one factor there
+        slots = len(positives)
+        self._bits = DIGIT_BITS * slots
+        self._shifts = tuple(DIGIT_BITS * (slots - 1 - k) for k in range(slots))
+        self._units = tuple(1 << s for s in self._shifts)
         # per slot: coefficient indices the lowering vector moves, its xi-step,
         # and refund[k], the most xi the slots from k on can give back (only
         # odd roots of a non-distinguished Borel have a negative step)
@@ -105,15 +132,37 @@ class VermaModule:
         for step in reversed(self._steps):
             refund.append(refund[-1] + max(0, -step))
         self._refund = tuple(reversed(refund))
-        self._act_cache: dict = {}
+        self._act_cache: dict = {}  # generator -> {monomial: {monomial: coefficient}}
+        self._rules = _straightening_rules(borel)
         self._levels: dict = {}
-        self._indices: dict = {}  # weight -> {monomial: index in its weight space}
+        self._indices: dict = {}  # weight coefficients -> {monomial: index in its weight space}
 
     # -- monomials ---------------------------------------------------------
 
+    def pack(self, exps) -> int:
+        """The monomial with these PBW exponents, one per slot."""
+        if len(exps) != len(self._units):
+            raise ValueError(f"{len(exps)} exponents for {len(self._units)} slots")
+        mono = 0
+        for exp in exps:
+            if exp < 0:
+                raise ValueError(f"negative exponent {exp}")
+            if exp > DIGIT_MASK:
+                raise EnumerationBound(f"PBW exponent {exp} does not fit {DIGIT_BITS} bits")
+            mono = mono << DIGIT_BITS | exp
+        return mono
+
+    def unpack(self, mono: int) -> tuple[int, ...]:
+        """The PBW exponents of a monomial, one per slot."""
+        return tuple([mono >> s & DIGIT_MASK for s in self._shifts])
+
+    def _leading_slot(self, mono: int) -> int:
+        """The first slot with a nonzero exponent; the slot count for the highest vector."""
+        return (self._bits - mono.bit_length()) // DIGIT_BITS
+
     def _mono_coeffs(self, mono) -> tuple[int, ...]:
         out = list(self.lam.coeffs)
-        for exp, (i, j) in zip(mono, self._ends):
+        for exp, (i, j) in zip(self.unpack(mono), self._ends):
             if exp:
                 out[i] -= exp
                 out[j] += exp
@@ -126,7 +175,8 @@ class VermaModule:
         return VermaElement(self, {self.zero_mono: 1})
 
     def element(self, terms: dict) -> "VermaElement":
-        """The combination of one weight's monomials with the given integer coefficients."""
+        """The combination of one weight's monomials, packed ints as `pack`
+        makes them, with the given integer coefficients."""
         for c in terms.values():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an integer")
@@ -137,52 +187,55 @@ class VermaModule:
     def lowered(self, alpha: Root, k: int) -> "VermaElement":
         """E_{-alpha}^k v: the lowering vector of the even positive root
         alpha, to the k-th power, applied to the highest vector."""
-        mono = list(self.zero_mono)
-        mono[self.neg_index[(alpha.j, alpha.i)]] = k
-        return self.element({tuple(mono): 1})
+        exps = [0] * len(self._units)
+        exps[self.neg_index[(alpha.j, alpha.i)]] = k
+        return self.element({self.pack(exps): 1})
 
     # -- straightening -------------------------------------------------------
 
-    def act_basis(self, x: tuple[int, int], mono) -> dict:
-        """x . (mono . v) as a map mono -> integer coefficient."""
-        if x[0] == x[1]:  # Cartan: diagonal on weight vectors
-            scalar = self._mono_coeffs(mono)[x[0] - 1]
-            return {mono: scalar} if scalar else {}
-        key = (x, mono)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._act_basis_uncached(x, mono)
-        self._act_cache[key] = result
-        return result
+    def act_basis(self, x: tuple[int, int], mono: int) -> dict:
+        """x . (mono . v) as a map mono -> integer coefficient.
 
-    def _act_basis_uncached(self, x, mono):
-        t = next((k for k, e in enumerate(mono) if e), None)
-        if t is None:  # highest weight vector
-            if x in self.raising_pairs:
-                return {}
-            idx = self.neg_index[x]
-            new = list(mono)
-            new[idx] = 1
-            return {tuple(new): 1}
+        Every straightening is kept in the generator's cache; a direct
+        product is formed afresh each time, faster than an entry is kept."""
+        t = self._leading_slot(mono)
         idx = self.neg_index.get(x)
         if idx is not None and idx <= t:
             # x already sits at or before the leading slot: direct product
-            if idx == t and self.neg_parity[t]:
-                return {}  # odd square vanishes
-            new = list(mono)
-            new[idx] += 1
-            return {tuple(new): 1}
+            if idx == t:
+                if self.neg_parity[t]:
+                    return {}  # odd square vanishes
+                if mono >> self._shifts[t] == DIGIT_MASK:
+                    raise EnumerationBound(f"PBW exponent 2^{DIGIT_BITS} in slot {t}")
+            return {mono + self._units[idx]: 1}
+        cache = self._act_cache.get(x)
+        if cache is None:
+            cache = self._act_cache[x] = {}
+        hit = cache.get(mono)
+        if hit is None:
+            hit = cache[mono] = self._straighten(x, t, mono)
+        return hit
+
+    def _straighten(self, x, t, mono):
+        """x . (mono . v) for a generator x that is not a direct product
+        factor at mono's leading slot t."""
+        if x[0] == x[1]:  # Cartan: diagonal on weight vectors
+            scalar = self._mono_coeffs(mono)[x[0] - 1]
+            return {mono: scalar} if scalar else {}
+        if t == len(self._units):  # a raiser kills the highest vector
+            return {}
         # commute x past the leading factor z
-        z = self.neg_pairs[t]
-        rest = list(mono)
-        rest[t] -= 1
-        rest = tuple(rest)
+        rule = self._rules.get((x, t))
+        if rule is None:
+            z = self.neg_pairs[t]
+            sign = -1 if pair_parity(self.profile, x) and self.neg_parity[t] else 1
+            rule = self._rules[x, t] = (z, supercommutator(self.profile, x, z), sign)
+        z, brackets, sign = rule
+        rest = mono - self._units[t]
         out: dict = {}
-        for coeff, y in supercommutator(self.profile, x, z):
+        for coeff, y in brackets:
             for m2, c2 in self.act_basis(y, rest).items():
                 out[m2] = out.get(m2, 0) + coeff * c2
-        sign = -1 if pair_parity(self.profile, x) and self.neg_parity[t] else 1
         for m2, c2 in self.act_basis(x, rest).items():
             for m3, c3 in self.act_basis(z, m2).items():
                 out[m3] = out.get(m3, 0) + sign * c2 * c3
@@ -210,7 +263,8 @@ class VermaModule:
     # -- weight spaces ---------------------------------------------------------
 
     def weight_space_monomials(self, nu: Weight) -> tuple:
-        """All monomials of weight nu, in lexicographic exponent order.
+        """All monomials of weight nu, in increasing order, which is
+        lexicographic exponent order.
 
         Read from nu's bucket at its xi level: the first request at a level
         walks the whole level once and buckets it by weight, and every later
@@ -228,99 +282,104 @@ class VermaModule:
 
     def _walk_level(self, drop: int) -> dict:
         """{weight coefficients: monomials} at xi-drop exactly `drop`, each
-        bucket in lexicographic exponent order, the buckets in the order of
-        their first monomials.
+        bucket in increasing order, the buckets in the order of their first
+        monomials.
 
         PBW order puts the even slots first, so a monomial is an even part
-        followed by an odd 0/1 part: its xi-drop is the sum of the two
-        parts' drops, and its weight is lam minus the roots of both.  The
-        odd parts are walked first, a branch stopping once its xi-sum,
-        lowered by every negative step still to come, exceeds `drop` (only
-        odd roots of a non-distinguished Borel have a negative step).  Each
-        odd part leaves the even part a budget of `drop` minus its sum.
-        Every even step is positive, so one walk of the even slots, up to
-        the largest budget, finds every even part of every budget; a branch
-        ends once its budget is spent or its last even slot is set, the
-        slots after it 0.  Each even part, its weight read from lam, is
-        joined to the odd parts of its budget, and each bucket is sorted.
+        plus an odd 0/1 part, in disjoint digits: its xi-drop is the sum of
+        the two parts' drops, and its weight is lam minus the roots of both.
+        The odd parts are grown slot by slot, a branch stopping once its
+        xi-sum, lowered by every negative step still to come, exceeds `drop`
+        (only odd roots of a non-distinguished Borel have a negative step).
+        Each odd part leaves the even part a budget of `drop` minus its sum.
+        Every even step is positive, so one odometer walk of the even slots
+        in increasing order, up to the largest budget, finds every even part
+        of every budget.  Each even part is joined to the odd parts of its
+        budget, bucketed by the sum of their weight changes, and each bucket
+        is sorted.
         """
-        ends, steps, refund = self._ends, self._steps, self._refund
+        steps, refund, units = self._steps, self._refund, self._units
         first_odd, last = self.neg_parity.count(False), len(steps)
-        coeffs = [0] * self.profile.dim
+        # a factor's change of the weight coefficients as one int, coefficient
+        # c's change the signed digit at bit width * c: below 2^16 per slot,
+        # no change reaches half a digit, so equal ints are equal weights
+        width = DIGIT_BITS + 1 + last.bit_length()
+        moves = [(1 << width * j) - (1 << width * i) for i, j in self._ends]
 
-        odd_parts: dict = {}  # budget -> [(odd exponents, their coefficients)]
-        odd = [0] * (last - first_odd)
-
-        def walk_odd(k, spent):
-            if spent - refund[k] > drop:
-                return
-            if k == last:
-                odd_parts.setdefault(drop - spent, []).append((tuple(odd), tuple(coeffs)))
-                return
-            walk_odd(k + 1, spent)
-            i, j = ends[k]
-            odd[k - first_odd] = 1
-            coeffs[i] -= 1
-            coeffs[j] += 1
-            walk_odd(k + 1, spent + steps[k])
-            odd[k - first_odd] = 0
-            coeffs[i] += 1
-            coeffs[j] -= 1
-
-        walk_odd(first_odd, 0)
-        if not odd_parts:
+        # (xi spent, odd part, its weight change), one slot at a time
+        grown = [(0, 0, 0)] if 0 <= drop + refund[first_odd] else []
+        for k in range(first_odd, last):
+            step, unit, move, room = steps[k], units[k], moves[k], drop + refund[k + 1]
+            odds, grown = grown, []
+            for spent, part, moved in odds:
+                if spent <= room:
+                    grown.append((spent, part, moved))
+                if spent + step <= room:
+                    grown.append((spent + step, part + unit, moved + move))
+        if not grown:
             return {}
-        coeffs[:] = self.lam.coeffs  # the even parts carry lam
+        odd_parts: dict = {}  # budget -> [(odd part, its weight change)]
+        for spent, part, moved in grown:
+            odd_parts.setdefault(drop - spent, []).append((part, moved))
 
         # every even part whose xi-drop is a budget some odd part leaves, by budget
         even_parts: dict = {budget: [] for budget in odd_parts}
         most = max(odd_parts)
-        even = [0] * first_odd
+        if first_odd and most // min(steps[:first_odd]) > DIGIT_MASK:
+            raise EnumerationBound(f"level {drop} needs a PBW exponent of 2^{DIGIT_BITS}")
+        counts = [0] * first_odd
+        used = part = moved = 0
+        while True:
+            parts = even_parts.get(used)
+            if parts is not None:
+                parts.append((part, moved))
+            # the next even part: one more factor in the last slot with room,
+            # every slot after it emptied
+            k = first_odd - 1
+            while k >= 0 and used + steps[k] > most:
+                count = counts[k]
+                if count:
+                    used -= count * steps[k]
+                    part -= count * units[k]
+                    moved -= count * moves[k]
+                    counts[k] = 0
+                k -= 1
+            if k < 0:
+                break
+            counts[k] += 1
+            used += steps[k]
+            part += units[k]
+            moved += moves[k]
 
-        def walk_even(k, left):
-            i, j = ends[k]
-            step = steps[k]
-            top = left // step
-            for count in range(top + 1):
-                even[k] = count
-                rest = left - count * step
-                if rest and k < first_odd - 1:
-                    walk_even(k + 1, rest)
-                else:  # the slots after k stay 0
-                    parts = even_parts.get(most - rest)
-                    if parts is not None:
-                        parts.append((tuple(even), tuple(coeffs)))
-                coeffs[i] -= 1
-                coeffs[j] += 1
-            even[k] = 0
-            coeffs[i] += top + 1
-            coeffs[j] -= top + 1
-
-        if first_odd:
-            walk_even(0, most)
-        elif 0 in even_parts:  # no even slots: only the empty even part
-            even_parts[0].append(((), tuple(coeffs)))
         buckets: dict = {}
         for budget, odds in odd_parts.items():
-            for even_mono, even_coeffs in even_parts[budget]:
-                for odd_mono, odd_coeffs in odds:
-                    buckets.setdefault(tuple(map(add, even_coeffs, odd_coeffs)), []).append(
-                        even_mono + odd_mono
-                    )
-        ordered = sorted([(tuple(sorted(monos)), key) for key, monos in buckets.items()])
-        return {key: monos for monos, key in ordered}
+            for even_part, even_moved in even_parts[budget]:
+                for odd_part, odd_moved in odds:
+                    buckets.setdefault(even_moved + odd_moved, []).append(even_part + odd_part)
+        level = {}
+        for monos in sorted(buckets.values(), key=min):
+            monos.sort()
+            level[self._mono_coeffs(monos[0])] = tuple(monos)
+        return level
 
     def coordinates(self, elem: "VermaElement", nu: Weight):
-        """elem over nu's weight-space basis; a term of another weight is a ConsistencyError."""
-        index = self._indices.get(nu)
+        """elem over nu's weight-space basis; a term of another weight is a ConsistencyError.
+
+        The index of each weight space is built once and kept by its
+        coefficients, so the profile is checked first."""
+        if nu.profile != self.profile:
+            raise ProfileMismatch(f"profile mismatch: {self.profile} vs {nu.profile}")
+        index = self._indices.get(nu.coeffs)
         if index is None:
             monos = self.weight_space_monomials(nu)
-            index = self._indices[nu] = {m: k for k, m in enumerate(monos)}
+            index = self._indices[nu.coeffs] = {m: k for k, m in enumerate(monos)}
         vec = [0] * len(index)
         for mono, coeff in elem.terms.items():
             k = index.get(mono)
             if k is None:
-                raise ConsistencyError(f"monomial {mono} is not in the weight space of {nu}")
+                raise ConsistencyError(
+                    f"monomial {self.unpack(mono)} is not in the weight space of {nu}"
+                )
             vec[k] = coeff
         return vec
 
@@ -349,7 +408,8 @@ class VermaElement:
         return not self.terms
 
     def __repr__(self):
-        parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
+        unpack = self.module.unpack
+        parts = [f"{c}*{unpack(m)}" for m, c in sorted(self.terms.items())]
         return f"VermaElement({' + '.join(parts) or '0'})"
 
 
@@ -523,23 +583,27 @@ def submodule_weight_ranks(
     `apply` of its leading lowering vector to the image of the monomial
     with that factor removed, memoised; a zero image stays zero for every
     monomial that extends it.  A weight whose row basis is full takes no
-    further images.  A seed outside the window contributes nothing.
+    further images, and a source weight outside the cone below `top`, whose
+    rank is not asked for, takes none.  A seed outside the window
+    contributes nothing.
     """
     p = module.profile
     floor = top.xi - depth
     max_cells = max_cells_from_env()
     candidates = cone_weights_below(top, depth)
+    bases: dict = {}  # weight coefficients -> (weight, row basis of the images there)
     total_cells = 0
     for nu in candidates:
-        total_cells += len(module.weight_space_monomials(nu))
+        width = len(module.weight_space_monomials(nu))
+        total_cells += width
         if total_cells > max_cells:
             raise EnumerationBound(
                 f"window holds more than {max_cells} basis cells; "
                 "raise SUPERCHAR_MAX_CELLS to proceed"
             )
+        bases[nu.coeffs] = (nu, RowBasis(width))
     dist = distinguished(p)
     raisers = [(r.i, r.j) for r in dist.simple_roots()]
-    bases: dict[Weight, RowBasis] = {}
     for seed in seeds:
         if seed.is_zero():
             continue
@@ -550,31 +614,38 @@ def submodule_weight_ranks(
             continue
         source = VermaModule(dist, mu)
         images = {source.zero_mono: seed}
-
-        def image(mono):
-            img = images.get(mono)
-            if img is None:
-                t = next(k for k, e in enumerate(mono) if e)
-                prev = list(mono)
-                prev[t] -= 1
-                below = image(tuple(prev))
-                img = below if below.is_zero() else module.apply(source.neg_pairs[t], below)
-                images[mono] = img
-            return img
-
         for drop in range(mu.xi - floor + 1):
             for coeffs, monos in source._level(drop).items():
-                nu = Weight(p, coeffs)
-                basis = bases.get(nu)
-                if basis is None:
-                    basis = bases[nu] = RowBasis(len(module.weight_space_monomials(nu)))
+                entry = bases.get(coeffs)
+                if entry is None:  # outside the cone below top: no rank is asked for
+                    continue
+                nu, basis = entry
                 for mono in monos:
                     if basis.rank == basis.width:
                         break
-                    img = image(mono)
+                    img = _verma_image(module, source, images, mono)
                     if not img.is_zero():
                         basis.insert(module.coordinates(img, nu))
-    return {nu: bases[nu].rank if nu in bases else 0 for nu in candidates}
+    return {nu: basis.rank for nu, basis in bases.values()}
+
+
+def _verma_image(module: VermaModule, source: VermaModule, images: dict, mono: int):
+    """The image in module of the source monomial: its leading lowering
+    vector applied to the image of the monomial with that factor removed.
+    Every image on the way is memoised in `images`, which holds the image
+    of the source's highest vector."""
+    chain = []
+    img = images.get(mono)
+    while img is None:
+        t = source._leading_slot(mono)
+        chain.append((mono, source.neg_pairs[t]))
+        mono -= source._units[t]
+        img = images.get(mono)
+    for mono, x in reversed(chain):
+        if not img.is_zero():
+            img = module.apply(x, img)
+        images[mono] = img
+    return img
 
 
 def narrow_image_dims(lam: Weight, depth: int) -> dict[Weight, int]:

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import sys
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -33,7 +35,10 @@ from superchar.rootdata import (
     weight_from_blocks,
     weight_from_coords,
 )
+from superchar import vermacalc
 from superchar.vermacalc import (
+    DIGIT_BITS,
+    DIGIT_MASK,
     VermaModule,
     antidistinguished_module,
     cone_weights_below,
@@ -167,7 +172,7 @@ def test_weight_space_basis_gl11():
     p = P(1, 1)
     lam = weight_from_blocks(p, [1], [1])
     module = VermaModule(distinguished(p), lam)
-    assert module.weight_space_monomials(lam) == ((0,),)
+    assert tuple(map(module.unpack, module.weight_space_monomials(lam))) == ((0,),)
     beta = Root(p, 1, 2).as_weight()
     assert len(module.weight_space_monomials(lam - beta)) == 1
     assert module.weight_space_monomials(lam - 2 * beta) == ()
@@ -218,7 +223,8 @@ def test_weight_space_monomials_match_oracle(case):
     for mono, coeffs, _ in box_oracle(module, drop):
         by_weight.setdefault(coeffs, []).append(mono)
     for nu in weights:
-        assert module.weight_space_monomials(nu) == tuple(sorted(by_weight.get(nu.coeffs, [])))
+        monos = tuple(map(module.unpack, module.weight_space_monomials(nu)))
+        assert monos == tuple(sorted(by_weight.get(nu.coeffs, [])))
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,7 +235,7 @@ def test_window_monomials_match_oracle(case, depth):
     module = antidistinguished_module(lam)
     drop = depth + rho1_doubled_distinguished(lam.profile).xi
     expected = sorted(mono for mono, _, d in box_oracle(module, drop) if d <= drop)
-    assert sorted(window_monomials(module, drop)) == expected
+    assert sorted(map(module.unpack, window_monomials(module, drop))) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,16 +251,66 @@ def test_level_buckets_match_oracle(case, anti, depth):
     lowest = -module._refund[0]
     assert module._level(lowest - 1) == {}
     for level in range(lowest, drop + 1):
-        buckets = module._level(level)
+        buckets = {
+            key: [module.unpack(mono) for mono in monos]
+            for key, monos in module._level(level).items()
+        }
         found = sorted(mono for monos in buckets.values() for mono in monos)
         assert found == sorted(mono for mono, _, d in oracle if d == level)
         for key, monos in buckets.items():
-            assert monos and list(monos) == sorted(monos)
+            assert monos and monos == sorted(monos)
             assert all(weight_of[mono] == key for mono in monos)
         # the buckets come in the order of their first monomials, as a
         # lexicographic walk files them
         firsts = [monos[0] for monos in buckets.values()]
         assert firsts == sorted(firsts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(borel_weights(), st.booleans(), st.integers(0, 2))
+def test_packing_round_trip_order_and_leading_slot(case, anti, depth):
+    # the oracle box is in lexicographic exponent order; packing keeps it,
+    # and the bit length finds the first nonzero slot
+    b, lam = case
+    module = antidistinguished_module(lam) if anti else VermaModule(b, lam)
+    drop = depth + (rho1_doubled_distinguished(lam.profile).xi if anti else 0)
+    slots = len(module.neg_pairs)
+    exps = [mono for mono, _, _ in box_oracle(module, drop)]
+    exps.append((DIGIT_MASK,) * slots)
+    assert exps == sorted(exps)
+    packed = [module.pack(e) for e in exps]
+    assert [module.unpack(mono) for mono in packed] == exps
+    assert all(a < b for a, b in zip(packed, packed[1:]))
+    for e, mono in zip(exps, packed):
+        assert module._leading_slot(mono) == next((k for k, x in enumerate(e) if x), slots)
+    assert packed[-1] == (1 << DIGIT_BITS * slots) - 1
+
+
+def test_pack_refuses_what_does_not_fit():
+    p = P(2, 1)
+    module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [-2]))
+    with pytest.raises(EnumerationBound):
+        module.pack((0, 2**DIGIT_BITS, 0))
+    with pytest.raises(ValueError, match="negative"):
+        module.pack((0, -1, 0))
+    with pytest.raises(ValueError, match="slots"):
+        module.pack((0, 1))
+
+
+def test_exponents_past_the_digit_raise_before_they_carry():
+    # each place an exponent grows: lowered, the direct product of
+    # act_basis, and the level walk
+    p = P(2, 1)
+    alpha = Root(p, 1, 2)
+    module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [-2]))
+    with pytest.raises(EnumerationBound):
+        module.lowered(alpha, 2**16)
+    top = module.lowered(alpha, 2**16 - 1)
+    assert [module.unpack(mono) for mono in top.terms] == [(2**16 - 1, 0, 0)]
+    with pytest.raises(EnumerationBound):
+        module.apply((alpha.j, alpha.i), top)
+    with pytest.raises(EnumerationBound):
+        module.weight_space_monomials(module.lam - 2**16 * alpha.as_weight())
 
 
 def cone_breadth_first(top, depth):
@@ -335,12 +391,13 @@ def test_element_rejects_mixed_weights():
     p = P(2, 1)
     module = VermaModule(distinguished(p), weight_from_blocks(p, [3, 1], [-2]))
     # slots e1-e2, e1-d1, e2-d1: f(e1-e2) f(e2-d1) and f(e1-d1) share a weight
-    elem = module.element({(1, 0, 1): 1, (0, 1, 0): 2})
-    assert elem.weight == module.mono_weight((0, 1, 0))
+    pack = module.pack
+    elem = module.element({pack((1, 0, 1)): 1, pack((0, 1, 0)): 2})
+    assert elem.weight == module.mono_weight(pack((0, 1, 0)))
     with pytest.raises(ValueError, match="inhomogeneous"):
-        module.element({(0, 0, 0): 1, (0, 1, 0): 1})
+        module.element({pack((0, 0, 0)): 1, pack((0, 1, 0)): 1})
     with pytest.raises(TypeError, match="not an integer"):
-        module.element({(0, 1, 0): Fraction(1, 2)})
+        module.element({pack((0, 1, 0)): Fraction(1, 2)})
 
 
 def test_pbw_coefficients_are_integers():
@@ -437,8 +494,9 @@ def test_singular_vector_shapes():
     alpha = Root(p, 1, 2)
     for k in (1, 2, 3):
         lam = weight_from_coords(p, [k, 0], [5])
-        v = singular_vector_even(VermaModule(b0, lam), alpha)
-        assert list(v.terms) == [(k, 0, 0)]
+        module = VermaModule(b0, lam)
+        v = singular_vector_even(module, alpha)
+        assert [module.unpack(mono) for mono in v.terms] == [(k, 0, 0)]
         assert v.weight == dot_action(reflection(alpha), lam, b0)
 
 
@@ -718,6 +776,51 @@ def test_level_walk_calls_stay_near_the_monomials_filed(monkeypatch, lam, depth)
     narrow_image_dims(lam, depth)
     assert filed
     assert calls <= 4 * filed
+
+
+def test_image_route_frees_its_modules_at_return(monkeypatch):
+    # no reference cycle holds a module, or anything else the route builds:
+    # with the cycle collector off, the ambient and the source module are
+    # gone once narrow_image_dims returns, and no cyclic garbage is left
+    built = []
+    init = VermaModule.__init__
+
+    def recorded(module, *args):
+        init(module, *args)
+        built.append(weakref.ref(module))
+
+    monkeypatch.setattr(VermaModule, "__init__", recorded)
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ranks = narrow_image_dims(lam, 4)
+        alive = [ref for ref in built if ref() is not None]
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert sum(ranks.values()) == 150
+    assert len(built) == 2 and alive == []
+    assert garbage == 0
+
+
+def test_act_cache_holds_no_tracked_results(monkeypatch):
+    # each straightening is a dict of ints, so the cycle collector never walks it
+    modules = []
+    ambient = vermacalc.antidistinguished_module
+
+    def kept(lam):
+        modules.append(ambient(lam))
+        return modules[-1]
+
+    monkeypatch.setattr(vermacalc, "antidistinguished_module", kept)
+    narrow_image_dims(weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16]), 4)
+    (module,) = modules
+    results = [r for cache in module._act_cache.values() for r in cache.values()]
+    assert len(results) > 400
+    assert not any(map(gc.is_tracked, results))
 
 
 def test_cell_bound_fires_before_straightening(monkeypatch):
