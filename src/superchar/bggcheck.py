@@ -151,7 +151,8 @@ def character_shift_sweep(
     `char_verma(b, mu)` is a new top, mu + rho^b - rho, over the cached
     store of ch M(0), so with mu = lam - rho^b every chart of a trial is
     that one store under the top lam - rho, and the pair equalities hold
-    by construction: each costs one identity check per level, and they
+    by construction: each takes the series ring's equal-top path, which
+    re-keys nothing and costs one identity check per level, and they
     check neither rho^b nor the series ring.  What checks more is the
     coefficient 1 of every chart at each lam - rho^b, the mismatches, and
     `verma_count_check`, which counts PBW monomials on its own route.
@@ -168,19 +169,19 @@ def character_shift_sweep(
     passed = True
     lams = [random_weight() for _ in range(trials)]
     for lam in lams:
-        shifted = {b: lam - rho_b(b) for b in borels}
-        charts = {b: char_verma(b, shifted[b], depth) for b in borels}
-        for b in borels:
-            for b2 in borels:
+        shifted = [lam - rho_b(b) for b in borels]
+        charts = [char_verma(b, mu, depth) for b, mu in zip(borels, shifted)]
+        for mu, chart in zip(shifted, charts):
+            for chart2 in charts:
                 pairs += 1
-                if charts[b].equals(charts[b2]):
+                if chart.equals(chart2):
                     equal_ok += 1
                 else:
                     passed = False
                 # the one-dimensional slot at lam - rho^b, when in window
-                if shifted[b].xi >= charts[b2].floor:
+                if mu.xi >= chart2.floor:
                     coeff_ok += 1
-                    if charts[b2].coeff(shifted[b]) != 1:
+                    if chart2.coeff(mu) != 1:
                         passed = False
     detected = 0
     tried = 0

@@ -20,14 +20,16 @@ that a term at drop k has |o_i| <= s + k, and s + depth < 2^15, else
 `PackingError`.  A monomial and ch M(0) have s = 0, and the public
 constructor refuses a depth or a term offset of 2^13 or more.  A unit
 step moves a term by a positive root, so each digit moves by at most 1
-per xi-step and s is kept.  A sum or comparison keys the lower top's
-series from the higher top, which moves its keys by the tops' packed
-difference d and its drops by their xi difference l, so its spread
-becomes s + max|d_i| - l; a product adds spreads.  A lookup beyond the
-spread is 0 without reading a key.  `Weight`s and coefficient tuples
-are built only at the API boundary: the public constructor takes a
-{Weight: int} dict, and `FormalChar.coeffs` is a read-only {Weight: int}
-view whose len() and values() decode nothing.
+per xi-step and s is kept.  A sum or comparison of two series with one
+top reads both stores as they are, cut to the common window.  When the
+tops differ it keys the lower top's series from the higher top, which
+moves its keys by the tops' packed difference d and its drops by their
+xi difference l, so its spread becomes s + max|d_i| - l; a product adds
+spreads.  A lookup beyond the spread is 0 without reading a key.
+`Weight`s and coefficient tuples are built only at the API boundary: the
+public constructor takes a {Weight: int} dict, and `FormalChar.coeffs`
+is a read-only {Weight: int} view whose len() and values() decode
+nothing.
 
 Characters of Verma modules for an arbitrary Borel are normalized into
 this cone by rewriting each wrong-direction odd factor
@@ -77,6 +79,10 @@ class DepthError(ValueError):
 
 class PackingError(ValueError):
     """A series spreads too wide, or two tops lie too far apart, for the packing box."""
+
+
+def _depth_message(depth: int) -> str:
+    return f"depth must be nonnegative and below {_BOUND}, got {depth}"
 
 
 def _pack(offset) -> int:
@@ -182,7 +188,7 @@ class FormalChar:
 
     def __init__(self, profile, top: Weight, depth: int, coeffs: dict):
         if not 0 <= depth < _BOUND:
-            raise ValueError(f"depth must be nonnegative and below {_BOUND}, got {depth}")
+            raise ValueError(_depth_message(depth))
         if top.profile != profile:
             raise ProfileMismatch(f"top {top} is not a weight of {profile}")
         self.profile = profile
@@ -272,11 +278,18 @@ class FormalChar:
 
     def _aligned(self, other: "FormalChar"):
         """(top, depth, spread, store, store): both series keyed from the
-        join of their tops and cut to the common window; a series whose top
-        is not the join is re-keyed by one constant, key and drop."""
+        join of their tops and cut to the common window.  With equal tops
+        the stores are already keyed alike and are only cut; otherwise the
+        series whose top is not the join is re-keyed by one constant, key
+        and drop."""
         if self.profile != other.profile:
             raise ProfileMismatch(f"profile mismatch: {self.profile} vs {other.profile}")
         a, b = self.top, other.top
+        if a.coeffs == b.coeffs:
+            depth, spread = min(self.depth, other.depth), max(self._spread, other._spread)
+            if spread + depth >= _HALF:
+                raise PackingError(f"spread {spread} at depth {depth} leaves the packing box")
+            return a, depth, spread, self._cut(depth), other._cut(depth)
         top = a if (a.xi, a.coeffs) >= (b.xi, b.coeffs) else b
         depth = top.xi - max(self.floor, other.floor)
         spread, stores = 0, []
@@ -354,7 +367,10 @@ class FormalChar:
         return FormalChar._make(self.profile, self.top, self.depth, out, self._spread)
 
     def retruncate(self, depth: int) -> "FormalChar":
-        """Restrict validity; deepening beyond the recorded window is refused."""
+        """Restrict validity; deepening beyond the recorded window, or a
+        negative depth, is refused."""
+        if depth < 0:
+            raise ValueError(_depth_message(depth))
         if depth > self.depth:
             raise DepthError("cannot extend a truncated series to a deeper window")
         return FormalChar._make(self.profile, self.top, depth, self._cut(depth), self._spread)
@@ -363,8 +379,9 @@ class FormalChar:
 
     def equals(self, other: "FormalChar") -> bool:
         """Exact coefficient equality on the common valid window.  With equal
-        tops the stores are compared as they are, level by level, and a
-        shared level dict costs one identity check."""
+        tops nothing is re-keyed: the stores, cut to that window, are
+        compared as they are, level by level, and a shared level dict costs
+        one identity check."""
         *_, mine, theirs = self._aligned(other)
         return mine == theirs
 

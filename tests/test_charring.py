@@ -300,6 +300,118 @@ def test_far_apart_tops_raise_instead_of_aliasing():
             x.first_discrepancy(y)
 
 
+# -- equal tops -----------------------------------------------------------------
+
+
+def _flat(p):
+    """e_1 - 2 e_2 + e_3: an offset of xi 0 and max |offset_i| 2."""
+    return Weight(p, (1, -2, 1) + (0,) * (p.dim - 3))
+
+
+@st.composite
+def one_top_series(draw):
+    """Three series with one top on gl(2|1), gl(2|2) or gl(3|2): a and b
+    share their terms but not their depth or spread, c has its own terms.
+    Each is a monomial, widened to spread 2j by adding a monomial at
+    top - j * flat (and for a and b taking it away again), then unit
+    steps."""
+    p = draw(st.sampled_from([P(2, 1), P(2, 2), P(3, 2)]))
+    top = Weight(p, tuple(draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim))))
+    roots = list(even_positive_roots(p)) + list(odd_positive_roots(p))
+    step = st.tuples(st.sampled_from(roots), st.sampled_from([1, -1]), st.booleans())
+
+    def series(depth, j, steps, keep=False):
+        f = monomial(top, depth)
+        if j:
+            far = monomial(top - j * _flat(p), depth)
+            f = f + far if keep else (f + far) + far.scale(-1)
+        for beta, sign, divide in steps:
+            f = f.div_unit(beta, sign) if divide else f.mul_unit(beta, sign)
+        assert (f.top, f.depth, f._spread) == (top, depth, 2 * j)
+        return f
+
+    d1, d2 = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+    j1, j2 = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    steps = draw(st.lists(step, max_size=4))
+    other = draw(st.lists(step, max_size=4))
+    c = series(draw(st.integers(0, 5)), draw(st.integers(0, 3)), other, keep=True)
+    return series(d1, j1, steps), series(d2, j2, steps), c
+
+
+def _window(f, floor):
+    """f's terms at or above the xi-level floor, as {Weight: int}."""
+    return {w: v for w, v in f.coeffs.items() if w.xi >= floor}
+
+
+def _oracle_discrepancy(x, y):
+    floor = max(x.floor, y.floor)
+    mine, theirs = _window(x, floor), _window(y, floor)
+    differ = [w for w in mine.keys() | theirs.keys() if mine.get(w, 0) != theirs.get(w, 0)]
+    if not differ:
+        return None
+    w = min(differ, key=lambda w: (w.xi, w.coeffs))
+    return w, mine.get(w, 0), theirs.get(w, 0)
+
+
+def _changed(f, w, delta):
+    return FormalChar(f.profile, f.top, f.depth, {**dict(f.coeffs.items()), w: f._get(w) + delta})
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_top_series(), st.data())
+def test_equal_tops_agree_with_a_term_by_term_oracle(case, data):
+    a, b, c = case
+    for x, y in ((a, b), (b, a), (a, c), (c, b)):
+        floor = max(x.floor, y.floor)
+        mine, theirs = _window(x, floor), _window(y, floor)
+        assert x.equals(y) == (mine == theirs)
+        total = x + y
+        assert (total.top, total.depth) == (x.top, min(x.depth, y.depth))
+        expected = {w: mine.get(w, 0) + theirs.get(w, 0) for w in mine.keys() | theirs.keys()}
+        assert dict(total.coeffs.items()) == {w: v for w, v in expected.items() if v}
+        assert_level_store(total)
+        assert x.first_discrepancy(y) == _oracle_discrepancy(x, y)
+    assert a.equals(b) and b.equals(a) and a.first_discrepancy(b) is None
+    # a change inside the common window is found; one below it is not
+    shallow, deep = sorted((a, b), key=lambda f: f.depth)
+    top, alpha = a.top, Root(a.profile, 1, 2).as_weight()  # xi(alpha) = 1
+    delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    inside = top - data.draw(st.integers(0, shallow.depth)) * alpha
+    below = top - data.draw(st.integers(shallow.depth + 1, deep.depth)) * alpha
+    for x, y in ((shallow, _changed(deep, inside, delta)), (_changed(shallow, inside, delta), deep)):
+        assert not x.equals(y) and not y.equals(x)
+        assert x.first_discrepancy(y) == (inside, x._get(inside), y._get(inside))
+    changed = _changed(deep, below, delta)
+    assert shallow.equals(changed) and changed.equals(shallow)
+    assert shallow.first_discrepancy(changed) is None
+    assert (shallow + changed).equals(shallow.scale(2))
+
+
+def test_equal_tops_pack_no_key(monkeypatch):
+    """Two series with one top are compared and added as they are stored:
+    no offset is packed, whatever their depths and spreads."""
+    p = P(2, 2)
+    lam = weight_from_blocks(p, [3, 1], [0, -2])
+    far = monomial(lam - 2 * _flat(p), 5)
+    a = char_verma(distinguished(p), lam, 5)
+    b = (char_verma(distinguished(p), lam, 3) + far) + far.scale(-1)
+    assert (a.top, a._spread) == (b.top, 0) and b._spread == 4
+    packed = []
+    original = charring._pack
+
+    def counting(offset):
+        packed.append(offset)
+        return original(offset)
+
+    monkeypatch.setattr(charring, "_pack", counting)
+    assert a.equals(b) and b.equals(a) and a.equals(a)
+    assert (a + b).equals(b.scale(2)) and (a + a).equals(a.scale(2))
+    assert a.first_discrepancy(b) is None
+    assert packed == []
+    assert not a.equals(far)  # different tops: the general path packs both offsets
+    assert len(packed) == 2
+
+
 def test_constructor_refuses_another_profile():
     # gl(2|1) and gl(1|2) weights have the same length, so only the check tells them apart
     p, q = P(2, 1), P(1, 2)
@@ -384,6 +496,22 @@ def test_retruncate_refuses_deeper():
     assert f.retruncate(1).depth == 1
     with pytest.raises(DepthError):
         f.retruncate(3)
+
+
+def test_negative_depth_is_refused_cold_and_warm(monkeypatch):
+    """retruncate refuses a negative depth as the constructor does, so a
+    warm Verma cache answers char_verma(..., -1) as a cold one."""
+    p = P(2, 1)
+    lam = weight_from_blocks(p, [2, 0], [-1])
+    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            char_verma(distinguished(p), lam, -1)
+        char_verma(distinguished(p), lam, 3)
+    f = char_verma(distinguished(p), lam, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        f.retruncate(-1)
+    assert f.retruncate(0).depth == 0
 
 
 def test_serialization_round_trip_and_order():

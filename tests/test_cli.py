@@ -22,6 +22,7 @@ GOLDEN_COMMANDS = {
     "roots_21": "roots --m 2 --n 1 --borel 1",
     "roots_32": "roots --m 3 --n 2 --borel 2,1",
     "sweep": "sweep --m 2 --n 2 --trials 2 --depth 4 --seed 3",
+    "sweep_33": "sweep --m 3 --n 3 --trials 2 --depth 4 --seed 1",  # the bench sweep's shape
     "suite": "suite",
 }
 
