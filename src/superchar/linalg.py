@@ -1,17 +1,18 @@
 """Exact integer row reduction, small and incremental.
 
-Rows are lists of ints.  The basis keeps itself in reduced integer
-echelon form: every stored row is primitive (the gcd of its entries is
-1) with a positive pivot, and every other row is 0 in each pivot
-column.  A row is reduced by cross-multiplication, a*v - b*row with
-a/b the pivot ratio in lowest terms, and the gcd of the result is
-divided out, so no rational arithmetic is needed.  Ranks are read off
-directly, and the rank of a matrix is the rank of the basis its rows
-span.
+Rows are lists of ints.  The basis keeps itself in integer echelon
+form: every stored row is primitive (the gcd of its entries is 1) and 0
+to the left of its pivot, and the pivots strictly increase.  A row is
+reduced by cross-multiplication, a*v - b*row with a/b the pivot ratio
+in lowest terms, and the gcd of the result is divided out, so no
+rational arithmetic is needed.  A stored row is never rewritten.  Ranks
+are read off directly, and the rank of a matrix is the rank of the
+basis its rows span.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import gcd
 
 
@@ -29,7 +30,9 @@ class RowBasis:
 
     def reduce(self, vec) -> list[int]:
         """A primitive integer multiple of the residual of vec modulo the
-        current span; 0 in every pivot column."""
+        current span; 0 in every pivot column.  The rows are taken in
+        increasing pivot order, so clearing a pivot never refills an
+        earlier one."""
         v = list(vec)
         if len(v) != self.width:
             raise ValueError("vector width mismatch")
@@ -49,17 +52,7 @@ class RowBasis:
         pivot = next((k for k, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        if v[pivot] < 0:
-            v = [-x for x in v]
-        a = v[pivot]
-        for idx, row in enumerate(self.rows):
-            b = row[pivot]
-            if b:
-                g = gcd(a, b)
-                new = [(a // g) * x - (b // g) * y for x, y in zip(row, v)]
-                g = gcd(*new)
-                self.rows[idx] = [x // g for x in new] if g > 1 else new
-        at = next((idx for idx, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        at = bisect(self.pivots, pivot)
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True

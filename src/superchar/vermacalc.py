@@ -45,6 +45,7 @@ the modules, memos and caches a call builds are freed when it returns.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import sub
 
@@ -247,11 +248,7 @@ class VermaModule:
         out: dict = {}
         for mono, coeff in elem.terms.items():
             for m2, c2 in self.act_basis(x, mono).items():
-                val = out.get(m2, 0) + coeff * c2
-                if val:
-                    out[m2] = val
-                elif m2 in out:
-                    del out[m2]
+                out[m2] = out.get(m2, 0) + coeff * c2
         return VermaElement(self, out)
 
     def apply_word(self, pairs, elem: "VermaElement") -> "VermaElement":
@@ -536,31 +533,27 @@ def max_cells_from_env() -> int:
     return value
 
 
-def cone_weights_below(top: Weight, depth: int) -> list[Weight]:
+def cone_weights_below(top: Weight, depth: int) -> Iterator[Weight]:
     """Weights top - (nonnegative span of the distinguished positive roots)
-    within the xi-window, sorted shallow to deep; none for a negative depth.
+    within the xi-window, yielded shallow to deep and in coefficient order
+    within each xi-drop; none for a negative depth.
 
-    Found breadth first on coefficient tuples, each keyed by its xi-drop
-    below top."""
-    if depth < 0:
-        return []
+    Lazy, one level at a time: the weights at drop d are those at drop
+    d - xi(r) lowered by a positive root r, so only the last max xi(r)
+    levels are held, and a caller that stops early lists no deeper level."""
     p = top.profile
     roots = [r.as_weight() for r in even_positive_roots(p) + odd_positive_roots(p)]
     roots = [(r.coeffs, r.xi) for r in roots]
-    drop_of = {top.coeffs: 0}
-    frontier = [top.coeffs]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            drop = drop_of[w]
-            for r, step in roots:
-                if drop + step <= depth:
-                    cand = tuple(map(sub, w, r))
-                    if cand not in drop_of:
-                        drop_of[cand] = drop + step
-                        nxt.append(cand)
-        frontier = nxt
-    return [Weight(p, w) for w in sorted(drop_of, key=lambda w: (drop_of[w], w))]
+    span = max(step for _, step in roots)
+    levels = {0: [top.coeffs]}
+    for drop in range(depth + 1):
+        if drop:
+            levels[drop] = sorted(
+                {tuple(map(sub, w, r)) for r, step in roots for w in levels.get(drop - step, ())}
+            )
+            levels.pop(drop - span - 1, None)
+        for w in levels[drop]:
+            yield Weight(p, w)
 
 
 def submodule_weight_ranks(
@@ -590,10 +583,9 @@ def submodule_weight_ranks(
     p = module.profile
     floor = top.xi - depth
     max_cells = max_cells_from_env()
-    candidates = cone_weights_below(top, depth)
     bases: dict = {}  # weight coefficients -> (weight, row basis of the images there)
     total_cells = 0
-    for nu in candidates:
+    for nu in cone_weights_below(top, depth):
         width = len(module.weight_space_monomials(nu))
         total_cells += width
         if total_cells > max_cells:

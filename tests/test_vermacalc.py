@@ -217,7 +217,7 @@ def borel_weights(draw):
 def test_weight_space_monomials_match_oracle(case):
     b, lam = case
     module = VermaModule(b, lam)
-    weights = cone_weights_below(char_verma(b, lam, 3).top, 3)
+    weights = list(cone_weights_below(char_verma(b, lam, 3).top, 3))
     drop = max(lam.xi - nu.xi for nu in weights)
     by_weight: dict = {}
     for mono, coeffs, _ in box_oracle(module, drop):
@@ -338,7 +338,7 @@ def cone_breadth_first(top, depth):
 @given(borel_weights(), st.integers(-1, 4))
 def test_cone_weights_below_matches_breadth_first(case, depth):
     _, top = case
-    assert cone_weights_below(top, depth) == cone_breadth_first(top, depth)
+    assert list(cone_weights_below(top, depth)) == cone_breadth_first(top, depth)
 
 
 def test_weight_space_profile_mismatch():
@@ -483,6 +483,38 @@ def test_module_axiom_random_triples():
             assert difference.is_zero()
             checks += 1
     assert checks == 300
+
+
+def test_apply_drops_cancelled_terms():
+    # a raiser kills combinations whose monomials it does not kill one by
+    # one: the terms cancel to zero, and a partial cancellation keeps exactly
+    # the terms that survive, none with a zero coefficient
+    p = P(2, 1)
+    lam = weight_from_coords(p, [3, 0], [3])
+    module = VermaModule(distinguished(p), lam)
+    cases = 0
+    for nu in cone_weights_below(lam, 3):
+        for r in distinguished(p).simple_roots():
+            x = (r.i, r.j)
+            monos, images = [], []
+            for m in module.weight_space_monomials(nu):
+                img = module.apply(x, module.element({m: 1}))
+                if not img.is_zero():
+                    monos.append(m)
+                    images.append(img)
+            if len(monos) < 2:
+                continue
+            mu = nu + r.as_weight()
+            rows = sympy.Matrix([module.coordinates(img, mu) for img in images])
+            for kernel in rows.T.nullspace():
+                coeffs = [int(c) for c in kernel * math.lcm(*(c.q for c in kernel))]
+                assert sum(map(bool, coeffs)) >= 2
+                assert module.apply(x, module.element(dict(zip(monos, coeffs)))).is_zero()
+                coeffs[0] += 1
+                partial = module.apply(x, module.element(dict(zip(monos, coeffs))))
+                assert partial.terms == images[0].terms and all(partial.terms.values())
+                cases += 1
+    assert cases == 3
 
 
 # -- singular vectors -------------------------------------------------------------
@@ -717,9 +749,9 @@ def test_narrow_image_bounded_by_verma():
 
 def test_negative_depth_window_is_empty():
     lam = weight_from_coords(P(2, 1), [3, 0], [3])
-    assert cone_weights_below(lam, 0) == [lam]
+    assert list(cone_weights_below(lam, 0)) == [lam]
     assert narrow_image_dims(lam, 0) == {lam: 1}
-    assert cone_weights_below(lam, -1) == []
+    assert list(cone_weights_below(lam, -1)) == []
     assert narrow_image_dims(lam, -1) == {}
 
 
@@ -844,12 +876,26 @@ def test_cell_bound_fires_before_straightening(monkeypatch):
     assert str(excinfo.value) == message
 
 
+def test_cone_weights_below_is_lazy():
+    # a window far too deep to list: its first weights come back at once,
+    # the same as those of a shallow window
+    lam = weight_from_coords(P(3, 3), [16, 8, 0], [0, 8, 16])
+    shallow = list(cone_weights_below(lam, 2))
+    deep = cone_weights_below(lam, 10**4)
+    assert next(deep) == lam
+    assert list(itertools.islice(deep, len(shallow) - 1)) == shallow[1:]
+
+
 def test_narrow_image_window_env_guard(monkeypatch):
     monkeypatch.setenv("SUPERCHAR_MAX_CELLS", "2")
     p = P(2, 1)
     lam = weight_from_coords(p, [3, 0], [3])
     with pytest.raises(EnumerationBound):
         narrow_image_dims(lam, 3)
+    # the cells are counted as the window is listed, so a window far too
+    # deep to list is refused at the first drop past the bound
+    with pytest.raises(EnumerationBound):
+        narrow_image_dims(lam, 10**4)
 
 
 def test_closure_straightens_only_inside_window(monkeypatch):
@@ -980,15 +1026,19 @@ def test_row_basis_incremental():
 def test_rank_matches_sympy(rows):
     expected = sympy.Matrix(rows).rank()
     basis = RowBasis(len(rows[0]))
-    for row in rows:
+    for k, row in enumerate(rows):
+        stored, old_pivots = [list(r) for r in basis.rows], list(basis.pivots)
         basis.insert(row)
-        # integer echelon form: primitive rows with positive pivots, and
-        # every other row 0 in each pivot column
+        # integer echelon form: primitive int rows, each 0 left of its
+        # pivot, and strictly increasing pivots
         for row_k, p in zip(basis.rows, basis.pivots):
             assert all(type(x) is int for x in row_k)
-            assert math.gcd(*row_k) == 1 and row_k[p] > 0
+            assert math.gcd(*row_k) == 1 and row_k[p] != 0
             assert not any(row_k[:p])
-            assert all(other[p] == 0 for other in basis.rows if other is not row_k)
-        assert basis.pivots == sorted(basis.pivots)
+        assert all(a < b for a, b in zip(basis.pivots, basis.pivots[1:]))
+        # an insert never rewrites a stored row, and the span holds every
+        # vector inserted so far
+        assert [r for r, p in zip(basis.rows, basis.pivots) if p in old_pivots] == stored
+        assert all(not any(basis.reduce(v)) for v in rows[: k + 1])
     assert matrix_rank(rows) == basis.rank == expected
 
