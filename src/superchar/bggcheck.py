@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from . import diagrams
 from .borels import borel_graph, distinguished, enumerate_borels
@@ -68,19 +67,44 @@ def _report_obj(check: str, lam: Weight, depth: int, passed: bool, details: dict
             "pass": passed, "details": details}
 
 
-@dataclass
-class EulerReport:
+class _Report:
+    """A mutable record whose fields are its `__slots__`, in order: equal
+    when of one class with equal fields, unhashable, and shown as
+    Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class EulerReport(_Report):
     """lhs is the Euler characteristic of the narrow resolution, each
     summand `char_narrow` with its own quotient/product check; rhs is the
     closed prefactor form of the simple character, `char_simple_td`."""
 
-    lam: Weight
-    depth: int
-    lhs: FormalChar
-    rhs: FormalChar
-    equal: bool
-    first_discrepancy: tuple | None
-    note: str = EULER_SCOPE_NOTE
+    __slots__ = ("lam", "depth", "lhs", "rhs", "equal", "first_discrepancy", "note")
+
+    def __init__(self, lam: Weight, depth: int, lhs: FormalChar, rhs: FormalChar, equal: bool,
+                 first_discrepancy: tuple | None, note: str = EULER_SCOPE_NOTE):
+        self.lam = lam
+        self.depth = depth
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = equal
+        self.first_discrepancy = first_discrepancy
+        self.note = note
 
     def to_json_obj(self) -> dict:
         detail = {"note": self.note}
@@ -111,15 +135,20 @@ def euler_check(lam: Weight, depth: int) -> EulerReport:
     return EulerReport(lam, depth, lhs, rhs, equal, None if equal else lhs.first_discrepancy(rhs))
 
 
-@dataclass
-class SweepReport:
-    profile: RankProfile
-    pairs_checked: int
-    equalities_passed: int
-    top_coeff_checks: int
-    mismatches_tried: int
-    mismatches_detected: int
-    passed: bool
+class SweepReport(_Report):
+    __slots__ = ("profile", "pairs_checked", "equalities_passed", "top_coeff_checks",
+                 "mismatches_tried", "mismatches_detected", "passed")
+
+    def __init__(self, profile: RankProfile, pairs_checked: int, equalities_passed: int,
+                 top_coeff_checks: int, mismatches_tried: int, mismatches_detected: int,
+                 passed: bool):
+        self.profile = profile
+        self.pairs_checked = pairs_checked
+        self.equalities_passed = equalities_passed
+        self.top_coeff_checks = top_coeff_checks
+        self.mismatches_tried = mismatches_tried
+        self.mismatches_detected = mismatches_detected
+        self.passed = passed
 
     def to_json_obj(self) -> dict:
         return {
@@ -199,13 +228,16 @@ def character_shift_sweep(
     return SweepReport(profile, pairs, equal_ok, coeff_ok, tried, detected, passed)
 
 
-@dataclass
-class ExactnessReport:
-    lam: Weight
-    depth: int
-    passed: bool
-    injective: bool
-    cokernel_matches: bool
+class ExactnessReport(_Report):
+    __slots__ = ("lam", "depth", "passed", "injective", "cokernel_matches")
+
+    def __init__(self, lam: Weight, depth: int, passed: bool, injective: bool,
+                 cokernel_matches: bool):
+        self.lam = lam
+        self.depth = depth
+        self.passed = passed
+        self.injective = injective
+        self.cokernel_matches = cokernel_matches
 
 
 def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
@@ -247,12 +279,15 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
     return ExactnessReport(lam, depth, injective and cokernel, injective, cokernel)
 
 
-@dataclass
-class ImageReport:
-    lam: Weight
-    depth: int
-    rows: tuple[tuple[Weight, int, int], ...]  # (weight, rank, coefficient), shallow first
-    passed: bool
+class ImageReport(_Report):
+    __slots__ = ("lam", "depth", "rows", "passed")
+
+    def __init__(self, lam: Weight, depth: int, rows: tuple[tuple[Weight, int, int], ...],
+                 passed: bool):
+        self.lam = lam
+        self.depth = depth
+        self.rows = rows  # (weight, rank, coefficient), shallow first
+        self.passed = passed
 
     def to_json_obj(self) -> dict:
         ranks = [{"weight": list(nu.coeffs), "rank": r, "coeff": c} for nu, r, c in self.rows]

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootdata import (
     EnumerationBound,
     RankProfile,
     Root,
+    refuse_assignment,
 )
 
 DEFAULT_BOREL_BOUND = 20000
@@ -38,12 +38,28 @@ DEFAULT_BOREL_BOUND = 20000
 EPS, DELTA = "ε", "δ"
 
 
-@dataclass(frozen=True, slots=True)
 class BorelElt:
-    profile: RankProfile
-    partition: tuple[int, ...]
-    # basis indices in sequence order, delta_j at index m + j
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # _order holds the basis indices in sequence order, delta_j at index
+    # m + j; it is derived from the partition, so equality, hash and repr
+    # leave it out
+    __slots__ = ("profile", "partition", "_order")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, profile: RankProfile, partition: tuple[int, ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "partition", partition)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.partition) == (other.profile, other.partition)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.partition))
+
+    def __repr__(self):
+        return f"BorelElt(profile={self.profile!r}, partition={self.partition!r})"
 
     def __post_init__(self):
         parts = self.partition
@@ -166,11 +182,27 @@ def odd_reflection(b: BorelElt, alpha: Root) -> BorelElt:
     return borel(b.profile, parts)
 
 
-@dataclass(frozen=True)
 class OddReflectionEdge:
-    source: BorelElt
-    target: BorelElt
-    alpha: Root
+    __slots__ = ("source", "target", "alpha")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, source: BorelElt, target: BorelElt, alpha: Root):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.alpha)
+                    == (other.source, other.target, other.alpha))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.alpha))
+
+    def __repr__(self):
+        return (f"OddReflectionEdge(source={self.source!r}, target={self.target!r}, "
+                f"alpha={self.alpha!r})")
 
 
 def borel_graph(profile: RankProfile) -> list[OddReflectionEdge]:

@@ -27,7 +27,6 @@ changes sign when any d in [-n, n] is subtracted, that is iff
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .rootdata import (
     EnumerationBound,
@@ -36,6 +35,7 @@ from .rootdata import (
     classify,
     encode,
     odd_positive_roots,
+    refuse_assignment,
 )
 
 CROSS, CIRCLE, VEE, WEDGE = "cross", "circle", "vee", "wedge"
@@ -43,10 +43,24 @@ CROSS, CIRCLE, VEE, WEDGE = "cross", "circle", "vee", "wedge"
 DEFAULT_SUBSET_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
 class WeightDiagram:
-    profile: RankProfile
-    entries: tuple[tuple[int, str], ...]  # (position, symbol), symbol != wedge
+    __slots__ = ("profile", "entries")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, profile: RankProfile, entries: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "entries", entries)  # (position, symbol), symbol != wedge
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.entries) == (other.profile, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.entries))
+
+    def __repr__(self):
+        return f"WeightDiagram(profile={self.profile!r}, entries={self.entries!r})"
 
     def label(self, position: int) -> str:
         for p, s in self.entries:

@@ -29,9 +29,9 @@ Conventions everything downstream relies on:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_WEYL_BOUND = 40320
@@ -49,13 +49,34 @@ class ConsistencyError(RuntimeError):
     """Two expressions that must agree identically did not; convention bug."""
 
 
-@dataclass(frozen=True, slots=True)
+def refuse_assignment(self, name, *value):
+    """`__setattr__` and `__delattr__` of the frozen value classes: their
+    constructors set each slot once with `object.__setattr__`."""
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
 class RankProfile:
-    m: int
-    n: int
-    # the depth functional on the basis, xi(eps_i) = m+n-i+1 and
-    # xi(delta_j) = n-j+1: the levels m+n, ..., 1 in basis order
-    xi: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # xi is the depth functional on the basis, xi(eps_i) = m+n-i+1 and
+    # xi(delta_j) = n-j+1: the levels m+n, ..., 1 in basis order.  It is
+    # derived from m and n, so equality, hash and repr leave it out.
+    __slots__ = ("m", "n", "xi")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, m: int, n: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) == (other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+    def __repr__(self):
+        return f"RankProfile(m={self.m!r}, n={self.n!r})"
 
     def __post_init__(self):
         if not isinstance(self.m, int) or not isinstance(self.n, int):
@@ -81,12 +102,27 @@ def _check_same_profile(a, b):
         raise ProfileMismatch(f"profile mismatch: {a.profile} vs {b.profile}")
 
 
-@dataclass(frozen=True, slots=True)
 class Weight:
-    profile: RankProfile
-    coeffs: tuple[int, ...]
-    # depth level of the weight under profile.xi, computed once here
-    xi: int = field(init=False, repr=False, compare=False)
+    # xi is the depth level of the weight under profile.xi, computed once
+    # in __post_init__ and left out of equality, hash and repr
+    __slots__ = ("profile", "coeffs", "xi")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, profile: RankProfile, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.coeffs) == (other.profile, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.coeffs))
+
+    def __repr__(self):
+        return f"Weight(profile={self.profile!r}, coeffs={self.coeffs!r})"
 
     def __post_init__(self):
         if len(self.coeffs) != self.profile.dim:
@@ -153,13 +189,28 @@ def pairing(x: Weight, y: Weight) -> int:
     return s - sum(a * b for a, b in zip(x.coeffs[m:], y.coeffs[m:]))
 
 
-@dataclass(frozen=True, slots=True)
 class Root:
     """The root eps_i - eps_j (1-based basis indices, delta_k = eps_{m+k})."""
 
-    profile: RankProfile
-    i: int
-    j: int
+    __slots__ = ("profile", "i", "j")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, profile: RankProfile, i: int, j: int):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.i, self.j) == (other.profile, other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.i, self.j))
+
+    def __repr__(self):
+        return f"Root(profile={self.profile!r}, i={self.i!r}, j={self.j!r})"
 
     def __post_init__(self):
         d = self.profile.dim
@@ -223,12 +274,27 @@ def _inversions(perm: tuple[int, ...]) -> int:
     )
 
 
-@dataclass(frozen=True, slots=True)
 class WeylElt:
     """A pair of permutations, stored as 1-based image tuples."""
 
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
+    __slots__ = ("sigma", "tau")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, sigma: tuple[int, ...], tau: tuple[int, ...]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tau)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sigma, self.tau) == (other.sigma, other.tau)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sigma, self.tau))
+
+    def __repr__(self):
+        return f"WeylElt(sigma={self.sigma!r}, tau={self.tau!r})"
 
     def __post_init__(self):
         for perm in (self.sigma, self.tau):
@@ -268,8 +334,6 @@ def identity_weyl(profile: RankProfile) -> WeylElt:
 
 def weyl_group(profile: RankProfile) -> list[WeylElt]:
     """All m!*n! elements, in lexicographic order of the image pairs."""
-    import math
-
     size = math.factorial(profile.m) * math.factorial(profile.n)
     if size > DEFAULT_WEYL_BOUND:
         raise EnumerationBound(f"Weyl group of size {size} exceeds bound {DEFAULT_WEYL_BOUND}")
@@ -435,10 +499,24 @@ def weight_from_coords(profile: RankProfile, eps_values, delta_values) -> Weight
 # Classification
 
 
-@dataclass(frozen=True)
 class WeightFlags:
-    regular: bool
-    dominant: bool
+    __slots__ = ("regular", "dominant")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, regular: bool, dominant: bool):
+        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "dominant", dominant)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.regular, self.dominant) == (other.regular, other.dominant)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.regular, self.dominant))
+
+    def __repr__(self):
+        return f"WeightFlags(regular={self.regular!r}, dominant={self.dominant!r})"
 
 
 def classify(lam: Weight) -> WeightFlags:
@@ -456,10 +534,24 @@ def classify(lam: Weight) -> WeightFlags:
 # Atypicality
 
 
-@dataclass(frozen=True)
 class Atypicality:
-    aty: int
-    gamma: frozenset[Root]
+    __slots__ = ("aty", "gamma")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, aty: int, gamma: frozenset[Root]):
+        object.__setattr__(self, "aty", aty)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.aty, self.gamma) == (other.aty, other.gamma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.aty, self.gamma))
+
+    def __repr__(self):
+        return f"Atypicality(aty={self.aty!r}, gamma={self.gamma!r})"
 
 
 def atypicality(lam: Weight, borel=None) -> Atypicality:

@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +23,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _modules_loaded_by(statement):
+    """The names in sys.modules after a fresh interpreter runs `statement`
+    with the package's src/ on its path."""
+    code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_introspection_modules():
+    # the value classes are written out by hand: importing the package and
+    # its CLI pulls in neither dataclasses nor what it imports to generate
+    # code, which a cold start would pay for on every process
+    added = _modules_loaded_by("import superchar, superchar.cli") - _modules_loaded_by("pass")
+    assert {"superchar.rootdata", "superchar.cli"} <= added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def _private_imports(tree):
