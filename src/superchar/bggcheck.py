@@ -28,6 +28,7 @@ from .charring import (
 )
 from .rootdata import (
     RankProfile,
+    Record,
     Root,
     Weight,
     basis_weight,
@@ -67,26 +68,13 @@ def _report_obj(check: str, lam: Weight, depth: int, passed: bool, details: dict
             "pass": passed, "details": details}
 
 
-class _Report:
-    """A mutable record whose fields are its `__slots__`, in order: equal
-    when of one class with equal fields, unhashable, and shown as
-    Name(field=value, ...)."""
+class _Report(Record):
+    """A mutable, unhashable `Record`: the result of one check."""
 
     __slots__ = ()
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __repr__(self):
-        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 class EulerReport(_Report):
@@ -305,8 +293,7 @@ def image_check(lam: Weight, depth: int) -> ImageReport:
         raise ValueError(f"{lam} is not g_-1-generic")
     ranks = narrow_image_dims(lam, depth)
     chart = char_narrow(lam, depth, warn=False)
-    ordered = sorted(ranks.items(), key=lambda kv: (-kv[0].xi, kv[0].coeffs))
-    rows = tuple((nu, rank, chart.coeff(nu)) for nu, rank in ordered)
+    rows = tuple((nu, rank, chart.coeff(nu)) for nu, rank in ranks.items())
     return ImageReport(lam, depth, rows, all(r == c for _, r, c in rows))
 
 

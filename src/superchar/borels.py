@@ -29,8 +29,8 @@ from functools import lru_cache
 from .rootdata import (
     EnumerationBound,
     RankProfile,
+    Record,
     Root,
-    refuse_assignment,
 )
 
 DEFAULT_BOREL_BOUND = 20000
@@ -38,31 +38,22 @@ DEFAULT_BOREL_BOUND = 20000
 EPS, DELTA = "ε", "δ"
 
 
-class BorelElt:
+class BorelElt(Record):
     # _order holds the basis indices in sequence order, delta_j at index
     # m + j; it is derived from the partition, so equality, hash and repr
     # leave it out
     __slots__ = ("profile", "partition", "_order")
-    __setattr__ = __delattr__ = refuse_assignment
+    _fields = ("profile", "partition")
 
     def __init__(self, profile: RankProfile, partition: tuple[int, ...]):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "partition", partition)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.partition) == (other.profile, other.partition)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.partition))
-
-    def __repr__(self):
-        return f"BorelElt(profile={self.profile!r}, partition={self.partition!r})"
-
     def __post_init__(self):
         parts = self.partition
+        if not isinstance(parts, tuple):
+            raise TypeError(f"a partition must be a tuple, got {parts!r}")
         if any(not isinstance(p, int) or p <= 0 for p in parts):
             raise ValueError(f"malformed partition {parts}: parts must be positive")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
@@ -72,8 +63,8 @@ class BorelElt:
             raise ValueError(f"partition {parts} does not fit the {m}x{n} box")
         # the deltas in front of each basis vector: eps_k has part m - k
         # (counted from 0) of them, delta_j has j - 1; eps comes first on a tie
-        parts += (0,) * (m - len(parts))
-        ahead = [parts[m - i] if i <= m else i - m - 1 for i in range(1, m + n + 1)]
+        padded = parts + (0,) * (m - len(parts))
+        ahead = [padded[m - i] if i <= m else i - m - 1 for i in range(1, m + n + 1)]
         order = sorted(range(1, m + n + 1), key=lambda i: (ahead[i - 1], i > m, i))
         object.__setattr__(self, "_order", tuple(order))
 
@@ -182,27 +173,13 @@ def odd_reflection(b: BorelElt, alpha: Root) -> BorelElt:
     return borel(b.profile, parts)
 
 
-class OddReflectionEdge:
+class OddReflectionEdge(Record):
     __slots__ = ("source", "target", "alpha")
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, source: BorelElt, target: BorelElt, alpha: Root):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.alpha)
-                    == (other.source, other.target, other.alpha))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.alpha))
-
-    def __repr__(self):
-        return (f"OddReflectionEdge(source={self.source!r}, target={self.target!r}, "
-                f"alpha={self.alpha!r})")
 
 
 def borel_graph(profile: RankProfile) -> list[OddReflectionEdge]:

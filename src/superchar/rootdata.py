@@ -24,6 +24,10 @@ Conventions everything downstream relies on:
   every odd reflection at a.
 * Half-integral vectors (rho0, rho1^b) are only ever exposed doubled,
   so all arithmetic stays in exact integers.
+
+The value types here and in `borels` and `diagrams` share one base,
+`Record`: each declares its fields once and compares, hashes and prints
+by them.
 """
 
 from __future__ import annotations
@@ -49,34 +53,54 @@ class ConsistencyError(RuntimeError):
     """Two expressions that must agree identically did not; convention bug."""
 
 
-def refuse_assignment(self, name, *value):
-    """`__setattr__` and `__delattr__` of the frozen value classes: their
-    constructors set each slot once with `object.__setattr__`."""
-    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+class Record:
+    """A slotted value whose fields are its `__slots__`, in order, or the
+    `_fields` a class names to leave a derived slot out.  Records of one
+    class are equal when their fields are, hash as the tuple of their
+    fields, show as Name(field=value, ...) and are frozen: a constructor
+    sets each slot once with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+        if cls._fields:  # a field-less base gets no key; a lone field is read bare
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class RankProfile:
+class RankProfile(Record):
     # xi is the depth functional on the basis, xi(eps_i) = m+n-i+1 and
     # xi(delta_j) = n-j+1: the levels m+n, ..., 1 in basis order.  It is
     # derived from m and n, so equality, hash and repr leave it out.
     __slots__ = ("m", "n", "xi")
-    __setattr__ = __delattr__ = refuse_assignment
+    _fields = ("m", "n")
 
     def __init__(self, m: int, n: int):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n) == (other.m, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
-    def __repr__(self):
-        return f"RankProfile(m={self.m!r}, n={self.n!r})"
 
     def __post_init__(self):
         if not isinstance(self.m, int) or not isinstance(self.n, int):
@@ -102,35 +126,24 @@ def _check_same_profile(a, b):
         raise ProfileMismatch(f"profile mismatch: {a.profile} vs {b.profile}")
 
 
-class Weight:
+class Weight(Record):
     # xi is the depth level of the weight under profile.xi, computed once
     # in __post_init__ and left out of equality, hash and repr
     __slots__ = ("profile", "coeffs", "xi")
-    __setattr__ = __delattr__ = refuse_assignment
+    _fields = ("profile", "coeffs")
 
     def __init__(self, profile: RankProfile, coeffs: tuple[int, ...]):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "coeffs", coeffs)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.coeffs) == (other.profile, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.coeffs))
-
-    def __repr__(self):
-        return f"Weight(profile={self.profile!r}, coeffs={self.coeffs!r})"
-
     def __post_init__(self):
+        if not isinstance(self.coeffs, tuple) or not all(isinstance(c, int) for c in self.coeffs):
+            raise TypeError(f"weights are integral tuples, got {self.coeffs!r}")
         if len(self.coeffs) != self.profile.dim:
             raise ValueError(
                 f"expected {self.profile.dim} coefficients, got {len(self.coeffs)}"
             )
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise TypeError("weights are integral")
         object.__setattr__(self, "xi", sum(map(operator.mul, self.coeffs, self.profile.xi)))
 
     def __add__(self, other: "Weight") -> "Weight":
@@ -189,28 +202,16 @@ def pairing(x: Weight, y: Weight) -> int:
     return s - sum(a * b for a, b in zip(x.coeffs[m:], y.coeffs[m:]))
 
 
-class Root:
+class Root(Record):
     """The root eps_i - eps_j (1-based basis indices, delta_k = eps_{m+k})."""
 
     __slots__ = ("profile", "i", "j")
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, profile: RankProfile, i: int, j: int):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.i, self.j) == (other.profile, other.i, other.j)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.i, self.j))
-
-    def __repr__(self):
-        return f"Root(profile={self.profile!r}, i={self.i!r}, j={self.j!r})"
 
     def __post_init__(self):
         d = self.profile.dim
@@ -274,30 +275,20 @@ def _inversions(perm: tuple[int, ...]) -> int:
     )
 
 
-class WeylElt:
+class WeylElt(Record):
     """A pair of permutations, stored as 1-based image tuples."""
 
     __slots__ = ("sigma", "tau")
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, sigma: tuple[int, ...], tau: tuple[int, ...]):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sigma, self.tau) == (other.sigma, other.tau)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sigma, self.tau))
-
-    def __repr__(self):
-        return f"WeylElt(sigma={self.sigma!r}, tau={self.tau!r})"
-
     def __post_init__(self):
         for perm in (self.sigma, self.tau):
+            if not isinstance(perm, tuple):
+                raise TypeError(f"permutations must be tuples, got {perm!r}")
             if sorted(perm) != list(range(1, len(perm) + 1)):
                 raise ValueError(f"{perm} is not a permutation of 1..{len(perm)}")
 
@@ -499,24 +490,12 @@ def weight_from_coords(profile: RankProfile, eps_values, delta_values) -> Weight
 # Classification
 
 
-class WeightFlags:
+class WeightFlags(Record):
     __slots__ = ("regular", "dominant")
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, regular: bool, dominant: bool):
         object.__setattr__(self, "regular", regular)
         object.__setattr__(self, "dominant", dominant)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.regular, self.dominant) == (other.regular, other.dominant)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.regular, self.dominant))
-
-    def __repr__(self):
-        return f"WeightFlags(regular={self.regular!r}, dominant={self.dominant!r})"
 
 
 def classify(lam: Weight) -> WeightFlags:
@@ -534,24 +513,12 @@ def classify(lam: Weight) -> WeightFlags:
 # Atypicality
 
 
-class Atypicality:
+class Atypicality(Record):
     __slots__ = ("aty", "gamma")
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, aty: int, gamma: frozenset[Root]):
         object.__setattr__(self, "aty", aty)
         object.__setattr__(self, "gamma", gamma)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.aty, self.gamma) == (other.aty, other.gamma)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.aty, self.gamma))
-
-    def __repr__(self):
-        return f"Atypicality(aty={self.aty!r}, gamma={self.gamma!r})"
 
 
 def atypicality(lam: Weight, borel=None) -> Atypicality:

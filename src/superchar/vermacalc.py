@@ -113,7 +113,6 @@ class VermaModule:
         positives = sorted(borel.positive_roots(), key=lambda r: (r.is_odd, r.j, r.i))
         # lowering vector for the positive root eps_a - eps_c is E_ca;
         # sorting above is lex on those pairs, even block first
-        self.pbw_roots: tuple[Root, ...] = tuple(positives)
         self.neg_pairs: tuple[tuple[int, int], ...] = tuple((r.j, r.i) for r in positives)
         self.neg_parity: tuple[bool, ...] = tuple(r.is_odd for r in positives)
         self.neg_index = {p: k for k, p in enumerate(self.neg_pairs)}
@@ -560,7 +559,9 @@ def submodule_weight_ranks(
     module: VermaModule, seeds, top: Weight, depth: int
 ) -> dict[Weight, int]:
     """Per-weight dimensions of the submodule generated by the seeds,
-    restricted to the xi-window below `top`.
+    restricted to the xi-window below `top`, in the order
+    `cone_weights_below` yields the weights: xi-drop ascending, then
+    coefficient order within a drop.
 
     Before the seeds, any iterable of elements, are drawn, the window's
     cell count is checked against the bound that `max_cells_from_env`

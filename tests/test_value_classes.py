@@ -1,9 +1,10 @@
 """Value semantics of the package's record classes.
 
-Each class is written by hand with `__slots__`: equality and hash read the
-constructor's fields only (never the derived `xi` or `_order`), frozen
-classes refuse assignment and deletion, the report classes stay mutable
-and unhashable, and the repr strings are pinned byte for byte.
+Every class derives from the one base `rootdata.Record` and declares its
+fields once: equality and hash read the constructor's fields only (never
+the derived `xi` or `_order`), frozen classes refuse assignment and
+deletion, the report classes stay mutable and unhashable, and the repr
+strings are pinned byte for byte.
 """
 
 import pytest
@@ -105,6 +106,9 @@ def test_repr_and_equality_read_the_fields(name):
     assert twin is not obj and twin == obj and not twin != obj
     assert obj != tuple(getattr(obj, f) for f in fields)  # another type is never equal
     assert not hasattr(obj, "__dict__")
+    # the rule is written once, in Record
+    assert isinstance(obj, rootdata.Record)
+    assert not {"__eq__", "__hash__", "__repr__", "__setattr__"} & set(vars(type(obj)))
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -144,6 +148,19 @@ def test_derived_slots_stay_out_of_equality_and_hash(cls, fields, derived):
     object.__setattr__(b, derived, "something else")
     assert a == b and hash(a) == hash(b) == hash(fields)
     assert repr(a) == repr(b) and derived not in repr(a)
+
+
+@pytest.mark.parametrize("build, given", [
+    (lambda seq: Weight(P21, seq), [5, 1, -6]),
+    (lambda seq: rootdata.WeylElt(seq, (1,)), [2, 1]),
+    (lambda seq: rootdata.WeylElt((2, 1), seq), [1]),
+    (lambda seq: borels.BorelElt(P21, seq), [1]),
+], ids=["Weight.coeffs", "WeylElt.sigma", "WeylElt.tau", "BorelElt.partition"])
+def test_tuple_fields_refuse_lists(build, given):
+    kept = list(given)
+    with pytest.raises(TypeError):
+        build(given)
+    assert given == kept  # the caller's list is left as it was
 
 
 def test_euler_report_note_defaults_to_the_scope_note():

@@ -186,12 +186,14 @@ def box_oracle(module, drop):
     """(exponents, weight coefficients, xi-drop) for every tuple in the box
     odd slots 0..1, even slots 0..drop + total refund, by brute force."""
     xi = module.profile.xi
-    steps = [sum(a * x for a, x in zip(r.as_weight().coeffs, xi)) for r in module.pbw_roots]
+    # lowering pair (j, i) belongs to the positive root (i, j)
+    roots = [Root(module.profile, i, j) for j, i in module.neg_pairs]
+    steps = [sum(a * x for a, x in zip(r.as_weight().coeffs, xi)) for r in roots]
     refund = sum(-s for s, odd in zip(steps, module.neg_parity) if odd and s < 0)
     ranges = [range(2) if odd else range(drop + refund + 1) for odd in module.neg_parity]
     for mono in itertools.product(*ranges):
         coeffs = list(module.lam.coeffs)
-        for e, r in zip(mono, module.pbw_roots):
+        for e, r in zip(mono, roots):
             coeffs[r.i - 1] -= e
             coeffs[r.j - 1] += e
         yield mono, tuple(coeffs), sum(e * s for e, s in zip(mono, steps))
