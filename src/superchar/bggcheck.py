@@ -24,7 +24,7 @@ from .charring import (
     char_narrow,
     char_simple_td,
     char_verma,
-    zero_char,
+    weyl_sum,
 )
 from .rootdata import (
     RankProfile,
@@ -40,7 +40,6 @@ from .rootdata import (
     rho_b,
     weight_from_blocks,
     weight_from_coords,
-    weyl_window,
 )
 from .vermacalc import (
     VermaModule,
@@ -109,16 +108,11 @@ class EulerReport(_Report):
 def euler_check(lam: Weight, depth: int) -> EulerReport:
     """The Euler characteristic of the narrow resolution, sum over the Weyl
     window of sign(w) ch N(w.lam) (lhs), against the closed prefactor form
-    `char_simple_td` (rhs), on the window below lam.  The summands of sign
-    -1 are summed apart and negated once."""
+    `char_simple_td` (rhs), on the window below lam."""
     if not diagrams.is_g1_generic(lam):
         raise ValueError(f"{lam} is not g_-1-generic")
     rhs = char_simple_td(lam, depth)
-    floor = lam.xi - depth
-    signed = {1: zero_char(lam.profile, lam, depth), -1: zero_char(lam.profile, lam, depth)}
-    for w, nu in weyl_window(lam, depth):
-        signed[w.sign] += char_narrow(nu, nu.xi - floor, warn=False)
-    lhs = signed[1] + signed.pop(-1).scale(-1)  # popped, so freed once negated
+    lhs = weyl_sum(lam, depth, lambda nu, d: char_narrow(nu, d, warn=False))
     equal = lhs.equals(rhs)
     return EulerReport(lam, depth, lhs, rhs, equal, None if equal else lhs.first_discrepancy(rhs))
 

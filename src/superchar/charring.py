@@ -43,7 +43,6 @@ once per profile, and every Verma character is a new top over its store.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from collections.abc import Mapping, ValuesView
 from functools import lru_cache
 from itertools import chain
@@ -429,6 +428,17 @@ def _units(f: FormalChar, odd=(), even=(), atypical=()) -> FormalChar:
     return f
 
 
+def weyl_sum(lam: Weight, depth: int, term) -> FormalChar:
+    """sum over the Weyl window of sign(w) term(w.lam, d), on the window
+    below lam, where d is the depth left below w.lam; the summands of sign
+    -1 are summed apart and negated once."""
+    floor = lam.xi - depth
+    signed = {1: zero_char(lam.profile, lam, depth), -1: zero_char(lam.profile, lam, depth)}
+    for w, nu in weyl_window(lam, depth):
+        signed[w.sign] += term(nu, nu.xi - floor)
+    return signed[1] + signed.pop(-1).scale(-1)  # popped, so freed once negated
+
+
 def _by_index(roots):
     return sorted(roots, key=lambda r: (r.i, r.j))
 
@@ -479,10 +489,7 @@ def char_even_simple(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     flags = classify(mu)
     if not (flags.regular and flags.dominant):
         raise ValueError(f"{mu} is not dominant for the even subalgebra")
-    signs = Counter()
-    for w, nu in weyl_window(mu, depth):
-        signs[nu] += w.sign
-    return _units(FormalChar(mu.profile, mu, depth, signs), even=even_positive_roots(mu.profile))
+    return _units(weyl_sum(mu, depth, monomial), even=even_positive_roots(mu.profile))
 
 
 def char_kac(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -521,8 +528,8 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
     Gamma(w.lam) = w(Gamma(lam)), as W only permutes the odd roots; a
     Weyl-independent denominator fails against the exact rank computations
     of the narrow submodules.  The ch M(0) unit factors are applied once to
-    the whole inner sum (unit factors commute, and both are exact on the
-    window); its summands of sign -1 are summed apart and negated once.
+    the whole inner `weyl_sum` (unit factors commute, and both are exact on
+    the window).
     Top coefficient 1 and nonnegativity are checked here; the equality with
     the narrow resolution's Euler characteristic is `bggcheck.euler_check`.
     """
@@ -532,12 +539,8 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         raise ValueError(f"{lam} must be regular dominant")
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
-    floor = lam.xi - depth
-    signed = {1: zero_char(p, lam, depth), -1: zero_char(p, lam, depth)}
-    for w, nu in weyl_window(lam, depth):
-        gamma = _by_index(atypicality(nu).gamma)
-        signed[w.sign] += _units(monomial(nu, nu.xi - floor), atypical=gamma)
-    inner = signed[1] + signed.pop(-1).scale(-1)
+    inner = weyl_sum(lam, depth, lambda nu, d: _units(monomial(nu, d),
+                                                      atypical=_by_index(atypicality(nu).gamma)))
     chi = _units(inner, odd_positive_roots(p), even_positive_roots(p))
     if chi.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")

@@ -113,7 +113,7 @@ def cmd_roots(args) -> int:
         "rho1_b_x2": list(rootdata.rho1_doubled(b).coeffs),
     }
     lines = [
-        f"{p} {b} seq:{b.seq()}",
+        f"{p} {borels.render(b)}",
         f"simple roots: {', '.join(simples)}",
         f"rho = {rho}, rho_b = {rho_b}, ber = {ber}",
     ]

@@ -392,11 +392,9 @@ def rho1_doubled_distinguished(profile: RankProfile) -> Weight:
 
 
 def rho1_doubled(borel) -> Weight:
-    """Twice the odd half-sum of an arbitrary Borel's odd positive system."""
-    total = zero_weight(borel.profile)
-    for beta in borel.odd_positive_roots():
-        total = total + beta.as_weight()
-    return total
+    """Twice the odd half-sum of an arbitrary Borel's odd positive system:
+    2 rho1^b = 2 rho1 - 2 (rho^b - rho)."""
+    return rho1_doubled_distinguished(borel.profile) - 2 * rho_b_shift(borel)
 
 
 @lru_cache(maxsize=None)

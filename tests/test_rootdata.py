@@ -566,11 +566,9 @@ def test_weyl_window_bound(monkeypatch):
 
 
 def test_consistency_error_is_one_class():
-    import superchar
     from superchar import charring, rootdata
 
     assert charring.ConsistencyError is rootdata.ConsistencyError
-    assert superchar.ConsistencyError is rootdata.ConsistencyError
 
 
 def test_package_has_no_assert_statements():

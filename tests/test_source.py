@@ -6,8 +6,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import superchar
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "superchar"
 
@@ -42,6 +40,49 @@ def test_import_loads_no_introspection_modules():
     added = _modules_loaded_by("import superchar, superchar.cli") - _modules_loaded_by("pass")
     assert {"superchar.rootdata", "superchar.cli"} <= added
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def _layers_loaded_by(statement):
+    return {name.removeprefix("superchar.") for name in _modules_loaded_by(statement)
+            if name.startswith("superchar.")}
+
+
+def test_each_import_loads_only_the_layers_it_names():
+    # the package re-exports nothing, so importing one layer loads only what
+    # it imports; the closed formulas (charring) and the PBW calculus
+    # (vermacalc) are two independent routes and never load each other
+    assert _layers_loaded_by("import superchar") == set()
+    assert _layers_loaded_by("import superchar.rootdata") == {"rootdata"}
+    assert _layers_loaded_by("import superchar.charring") & {"vermacalc", "linalg", "bggcheck", "cli"} == set()
+    assert _layers_loaded_by("import superchar.vermacalc") & {"charring", "diagrams", "bggcheck", "cli"} == set()
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # the project's warnings-as-errors setting must not turn hypothesis's own
+    # failure report into an INTERNALERROR that stops the remaining tests
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(ROOT), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr
 
 
 def _private_imports(tree):
@@ -83,10 +124,10 @@ def _load_bench(name):
 def test_bench_tracer_hooks_name_live_callables():
     # perfbench/tracer.py wraps the package by name and refuses to run when a
     # name it hooks is gone: deleting such a name would break `--trace 1`
-    tracer = _load_bench("tracer")
-    ring = dict(vars(superchar.charring.FormalChar))
-    assert tracer.Tracer(superchar).run(lambda: None) is None
-    assert dict(vars(superchar.charring.FormalChar)) == ring  # every original restored
+    lib, tracer = _load_bench("workloads").load_library(), _load_bench("tracer")
+    ring = dict(vars(lib.charring.FormalChar))
+    assert tracer.Tracer(lib).run(lambda: None) is None
+    assert dict(vars(lib.charring.FormalChar)) == ring  # every original restored
 
 
 def test_bench_workloads_pass_their_checks_plain_and_traced():
