@@ -38,13 +38,16 @@ so Vermas for all Borels become directly comparable series.  Each is
 then e^{top} times one series P = prod over odd (1+e^{-beta}) / prod
 over even (1-e^{-gamma}) that depends only on the profile: P is built
 once per profile, and every Verma character is a new top over its store.
+The product form of a narrow character is likewise a new top over one
+series per atypical set Gamma, P with the factors of Gamma left out,
+built from a monomial and never from P; a profile's narrow series hold
+no more terms than its P, the least recently used dropped first.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping, ValuesView
-from functools import lru_cache
 from itertools import chain
 from operator import add, sub
 
@@ -106,16 +109,25 @@ def _at(top: Weight, p: int) -> tuple[int, ...]:
     return tuple(map(add, top.coeffs, _unpack(p, len(top.coeffs))))
 
 
-@lru_cache(maxsize=None)
+# (dim, i, j) -> the packed step of eps_i - eps_j: xi is (dim, ..., 1) in
+# every profile, so dim and the indices fix both, and the lookup hashes
+# ints, not the Root and its RankProfile
+_STEPS: dict = {}
+
+
 def _unit_step(beta: Root) -> tuple[int, int]:
     """(packed beta, xi(beta)) of a unit exponent, a root of positive xi."""
     if not isinstance(beta, Root):
         raise TypeError(f"unit factor exponent {beta} is not a root")
-    xi, dim = beta.profile.xi, beta.profile.dim
-    step = xi[beta.i - 1] - xi[beta.j - 1]
-    if step <= 0:
-        raise ValueError(f"unit factor exponent {beta} must have positive xi")
-    return _RADIX ** (dim - beta.i) - _RADIX ** (dim - beta.j), step
+    xi, i, j = beta.profile.xi, beta.i, beta.j
+    key = (len(xi), i, j)
+    found = _STEPS.get(key)
+    if found is None:
+        step = xi[i - 1] - xi[j - 1]
+        if step <= 0:
+            raise ValueError(f"unit factor exponent {beta} must have positive xi")
+        found = _STEPS[key] = (_RADIX ** (len(xi) - i) - _RADIX ** (len(xi) - j), step)
+    return found
 
 
 class _Coeffs(Mapping):
@@ -443,27 +455,67 @@ def _by_index(roots):
     return sorted(roots, key=lambda r: (r.i, r.j))
 
 
+def _kept(store: dict, key, depth: int, build) -> FormalChar:
+    """store[key] cut to drops <= depth.
+
+    One series is kept per key, at the deepest depth asked for so far: a
+    deeper request replaces it by build(depth), a shallower one is a cut
+    of it.  The cut is exact, as each unit step only moves terms down, and
+    at the kept depth it is the store itself.  The key is put back last,
+    so a store lists its keys least recently used first.
+    """
+    f = store.pop(key, None)
+    if f is None or f.depth < depth:
+        f = build(depth)
+    store[key] = f
+    return f.retruncate(depth)
+
+
 # profile -> ch M(0) of the distinguished cone, at the deepest depth asked
 _VERMA_AT_ZERO: dict = {}
 
 
 def _verma_at_zero(profile: RankProfile, depth: int) -> FormalChar:
-    """prod over odd (1+e^{-beta}) / prod over even (1-e^{-gamma}), top 0.
+    """prod over odd (1+e^{-beta}) / prod over even (1-e^{-gamma}), top 0,
+    kept once per profile."""
+    return _kept(_VERMA_AT_ZERO, profile, depth, lambda d: _units(
+        monomial(zero_weight(profile), d), odd_positive_roots(profile), even_positive_roots(profile)
+    ))
 
-    One series per profile is kept, at the deepest depth asked for so
-    far; a deeper request rebuilds and replaces it, a shallower one is a
-    cut of it to drops <= depth.  The cut is exact, as each unit step
-    only moves terms down.  At the cached depth the cut is the store itself.
+
+# (m, n, index pairs of Gamma) -> the narrow product at top 0, at the
+# deepest depth asked, least recently used first
+_NARROW_AT_ZERO: dict = {}
+
+
+def _narrow_at_zero(profile: RankProfile, atypical: list, depth: int) -> FormalChar:
+    """prod over odd beta not in Gamma (1+e^{-beta}) / prod over even
+    (1-e^{-gamma}), top 0, kept once per atypical set Gamma.
+
+    It is built from a monomial, never from ch M(0), so that `char_narrow`
+    compares two independent series.  A profile's entries together hold
+    no more terms than its cached ch M(0): before a new entry is kept, the
+    least recently used ones are dropped until it fits.  A lone entry
+    always fits, as its support lies in that of ch M(0) at its depth (every
+    factor has nonnegative coefficients, and ch M(0) has more of them).
     """
-    f = _VERMA_AT_ZERO.get(profile)
-    if f is None or f.depth < depth:
-        f = _units(
-            monomial(zero_weight(profile), depth),
-            odd_positive_roots(profile),
-            even_positive_roots(profile),
-        )
-        _VERMA_AT_ZERO[profile] = f
-    return f.retruncate(depth)
+    m, n = profile.m, profile.n
+    key = (m, n, tuple((beta.i, beta.j) for beta in atypical))
+
+    def build(d: int) -> FormalChar:
+        odd = [beta for beta in odd_positive_roots(profile) if beta not in atypical]
+        f = _units(monomial(zero_weight(profile), d), odd, even_positive_roots(profile))
+        _verma_at_zero(profile, d)  # the bound: ch M(0) as kept, at depth d or deeper
+        room = len(_VERMA_AT_ZERO[profile].coeffs) - len(f.coeffs)
+        mine = [k for k in _NARROW_AT_ZERO if k[:2] == (m, n)]
+        held = sum(len(_NARROW_AT_ZERO[k].coeffs) for k in mine)
+        for k in mine:
+            if held <= room:
+                break
+            held -= len(_NARROW_AT_ZERO.pop(k).coeffs)
+        return f
+
+    return _kept(_NARROW_AT_ZERO, key, depth, build)
 
 
 def char_verma(b, lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
@@ -500,9 +552,13 @@ def char_kac(mu: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
 def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> FormalChar:
     """Verma character with the atypical odd unit factors divided out.
 
-    Computed twice, as quotient and as product over the non-atypical odd
-    roots, and cross-asserted.  The closed formula is only established for
-    g_{-1}-generic weights; other inputs are served with a warning.
+    Computed twice and cross-asserted: as the quotient of the cached
+    Verma series by the atypical factors, made fresh on every call, and as
+    the product over the non-atypical odd roots, a new top lam over the
+    series `_narrow_at_zero` keeps for Gamma(lam), which was built from a
+    monomial.  So every call checks the Verma store against an independent
+    series.  The closed formula is only established for g_{-1}-generic
+    weights; other inputs are served with a warning.
     """
     p = lam.profile
     if warn and not diagrams.is_g1_generic(lam):
@@ -510,10 +566,9 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
             f"{lam} is not g_-1-generic; the narrow character formula is unproven here",
             stacklevel=2,
         )
-    gamma = atypicality(lam).gamma
-    quotient = _units(char_verma(distinguished(p), lam, depth), atypical=_by_index(gamma))
-    odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
-    product = _units(monomial(lam, depth), odd, even_positive_roots(p))
+    atypical = _by_index(atypicality(lam).gamma)
+    quotient = _units(char_verma(distinguished(p), lam, depth), atypical=atypical)
+    product = FormalChar._make(p, lam, depth, _narrow_at_zero(p, atypical, depth)._levels)
     if not quotient.equals(product):
         raise ConsistencyError("narrow character: quotient and product forms disagree")
     return product

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import operator
@@ -30,6 +31,7 @@ from superchar.diagrams import is_totally_disconnected
 from superchar.rootdata import (
     ProfileMismatch,
     RankProfile,
+    Record,
     Root,
     Weight,
     atypicality,
@@ -51,6 +53,21 @@ from superchar.rootdata import (
 
 def P(m, n):
     return RankProfile(m, n)
+
+
+@contextlib.contextmanager
+def emptied_series_stores():
+    """charring's kept series (ch M(0) per profile, the narrow product per
+    atypical set) emptied, and restored on exit."""
+    with patch.dict(charring._VERMA_AT_ZERO, clear=True), patch.dict(charring._NARROW_AT_ZERO, clear=True):
+        yield
+
+
+@pytest.fixture
+def cold_stores():
+    """A test that names a cold path runs it, whatever ran before it."""
+    with emptied_series_stores():
+        yield
 
 
 def random_char(rng, p, top_shift, depth):
@@ -451,7 +468,7 @@ def test_ring_operations_build_no_weight_per_term(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(Weight, "__post_init__", counting)
-            charring._unit_step.cache_clear()
+            patch.setattr(charring, "_STEPS", {})
             f.div_unit(beta, 1)
             f.mul_unit(beta, -1)
             assert built == []
@@ -498,12 +515,11 @@ def test_retruncate_refuses_deeper():
         f.retruncate(3)
 
 
-def test_negative_depth_is_refused_cold_and_warm(monkeypatch):
+def test_negative_depth_is_refused_cold_and_warm(cold_stores):
     """retruncate refuses a negative depth as the constructor does, so a
     warm Verma cache answers char_verma(..., -1) as a cold one."""
     p = P(2, 1)
     lam = weight_from_blocks(p, [2, 0], [-1])
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     for _ in ("cold", "warm"):
         with pytest.raises(ValueError, match="nonnegative"):
             char_verma(distinguished(p), lam, -1)
@@ -952,10 +968,10 @@ def test_closed_sums_equal_summand_by_summand(case):
 
 
 @st.composite
-def td_weights(draw):
+def td_weights(draw, profiles=WINDOW_PROFILES):
     """(lam, depth): a regular dominant totally disconnected weight of a
     small profile, generic or not, and a depth in 0..5."""
-    p = draw(st.sampled_from(WINDOW_PROFILES))
+    p = draw(st.sampled_from(profiles))
     eps = sorted(draw(st.lists(st.integers(0, 7), unique=True, min_size=p.m, max_size=p.m)))
     delta = sorted(draw(st.lists(st.integers(0, 7), unique=True, min_size=p.n, max_size=p.n)))
     lam = weight_from_coords(p, eps[::-1], delta)
@@ -1076,7 +1092,7 @@ def test_char_verma_is_the_cached_series_translated(p, data):
     (deeper) and cut it (shallower), for every Borel at random weights."""
     depths = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=5))
     coords = st.lists(st.integers(-5, 5), min_size=p.dim, max_size=p.dim)
-    with patch.dict(charring._VERMA_AT_ZERO, clear=True):
+    with emptied_series_stores():
         for i, depth in enumerate(depths):
             for b in enumerate_borels(p):
                 lam = Weight(p, tuple(data.draw(coords)))
@@ -1100,10 +1116,9 @@ def test_char_verma_top_is_lam_plus_the_flipped_roots():
                 assert char_verma(b, lam, 0).top == top
 
 
-def test_char_verma_shares_the_cached_levels(monkeypatch):
+def test_char_verma_shares_the_cached_levels(cold_stores):
     """Translation touches no term: every level dict of a Verma character
     is the cached series' own, at a rebuilt, a cut and a cached depth."""
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     for p in (P(2, 2), P(3, 2)):
         lam = Weight(p, tuple(range(p.dim, 0, -1)))
         for depth in (3, 5, 2, 5):
@@ -1114,7 +1129,7 @@ def test_char_verma_shares_the_cached_levels(monkeypatch):
                 assert all(got._levels[d] is cached._levels[d] for d in got._levels)
 
 
-def test_sweep_charts_share_one_store(monkeypatch):
+def test_sweep_charts_share_one_store(monkeypatch, cold_stores):
     """The pair equalities of a sweep compare one store with itself."""
     charts = []
 
@@ -1122,15 +1137,13 @@ def test_sweep_charts_share_one_store(monkeypatch):
         charts.append(char_verma(b, lam, depth))
         return charts[-1]
 
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     monkeypatch.setattr(bggcheck, "char_verma", recording)
     assert character_shift_sweep(P(2, 2), trials=2, depth=4, seed=0).passed
     assert len(charts) == 2 * 6 + bggcheck.SWEEP_MISMATCHES * 2
     assert len({id(f._levels) for f in charts}) == 1
 
 
-def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+def test_verma_cache_keeps_one_entry_at_the_deepest_depth(cold_stores):
     p = P(2, 2)
     lam = weight_from_blocks(p, [3, 1], [0, -2])
     for depth in (2, 5, 3):
@@ -1139,13 +1152,12 @@ def test_verma_cache_keeps_one_entry_at_the_deepest_depth(monkeypatch):
     assert charring._VERMA_AT_ZERO[p].depth == 5
 
 
-def test_cached_verma_series_is_cross_checked(monkeypatch):
+def test_cached_verma_series_is_cross_checked(cold_stores):
     """One wrong coefficient in the cache, on its lowest level (the largest
     xi-drop), is caught by the product form of char_narrow and by the Euler
     identity."""
     p, depth = P(3, 3), 6
     lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
     cached = charring._verma_at_zero(p, depth)
     low = max(cached._levels)
     assert low == depth
@@ -1164,26 +1176,137 @@ def test_cached_verma_series_is_cross_checked(monkeypatch):
         assert not report.equal
 
 
-def test_sweep_builds_the_verma_series_once(monkeypatch):
+def _counting_unit_steps(monkeypatch):
+    calls = Counter()
+    for name in ("mul_unit", "div_unit"):
+        def counting(self, beta, sign=1, _name=name, _original=getattr(FormalChar, name)):
+            calls[_name] += 1
+            return _original(self, beta, sign)
+
+        monkeypatch.setattr(FormalChar, name, counting)
+    return calls
+
+
+def test_sweep_builds_the_verma_series_once(monkeypatch, cold_stores):
     """All Verma characters of a sweep share a profile and a depth: a cold
     cache costs one chain of unit factors, a warm one none."""
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(FormalChar, name)
-
-        def counting(self, beta, sign=1):
-            calls[name] += 1
-            return original(self, beta, sign)
-
-        return counting
-
-    for name in ("mul_unit", "div_unit"):
-        monkeypatch.setattr(FormalChar, name, counted(name))
-    monkeypatch.setattr(charring, "_VERMA_AT_ZERO", {})
+    calls = _counting_unit_steps(monkeypatch)
     counts = []
     for _ in range(2):
         calls.clear()
         assert character_shift_sweep(P(3, 3), trials=2, depth=4, seed=0).passed
         counts.append((calls["mul_unit"], calls["div_unit"]))
     assert counts == [(9, 6), (0, 0)]
+
+
+# -- one narrow product per atypical set -------------------------------------------
+# char_narrow's product form is a new top over one kept series per Gamma;
+# the oracle is the product built from a monomial at lam, as it was before.
+
+
+def _from_scratch_narrow(lam, depth):
+    p = lam.profile
+    gamma = atypicality(lam).gamma
+    odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
+    return _units(monomial(lam, depth), odd, even_positive_roots(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([P(2, 1), P(2, 2), P(3, 2)]), st.data())
+def test_char_narrow_is_the_kept_product_translated(p, data):
+    """Weights of one profile and depths in a random order, so a warm store
+    meets repeated and new atypical sets and both rebuilds entries (deeper)
+    and cuts them (shallower); a cold store answers each request alike."""
+    request = st.tuples(td_weights((p,)), st.integers(0, 5))
+    requests = data.draw(st.lists(request, min_size=2, max_size=6))
+    with emptied_series_stores():
+        for (lam, _), depth in requests:
+            expected = _from_scratch_narrow(lam, depth).to_json_obj()
+            assert char_narrow(lam, depth, warn=False).to_json_obj() == expected
+            with emptied_series_stores():
+                assert char_narrow(lam, depth, warn=False).to_json_obj() == expected
+
+
+def test_warm_char_narrow_divides_only_by_gamma(monkeypatch, cold_stores):
+    """A warm call builds no product: its only unit steps are the quotient's
+    |Gamma| divisions.  A common shift keeps Gamma, so the second weight
+    finds the first one's series."""
+    p, depth = P(3, 3), 6
+    eps, delta = [16, 8, 0], [0, 8, 16]
+    gamma = atypicality(weight_from_coords(p, eps, delta)).gamma
+    assert len(gamma) == 3
+    calls = _counting_unit_steps(monkeypatch)
+    counts = []
+    for shift in (0, 5):
+        calls.clear()
+        lam = weight_from_coords(p, [e + shift for e in eps], [d + shift for d in delta])
+        char_narrow(lam, depth)
+        counts.append((calls["mul_unit"], calls["div_unit"]))
+    odd, even = len(odd_positive_roots(p)), len(even_positive_roots(p))
+    assert counts == [(2 * odd - len(gamma), 2 * even + len(gamma)), (0, len(gamma))]
+
+
+def test_kept_narrow_series_is_cross_checked(cold_stores):
+    """One wrong coefficient in the kept narrow product, on its lowest
+    level, is caught by the fresh quotient of char_narrow and by the Euler
+    identity."""
+    p, depth = P(3, 3), 6
+    lam = weight_from_coords(p, [16, 8, 0], [0, 8, 16])
+    char_narrow(lam, depth)
+    (key, kept), = charring._NARROW_AT_ZERO.items()
+    low = max(kept._levels)
+    assert low == depth
+    terms = dict(kept._levels[low])
+    terms[min(terms)] += 1
+    levels = {**kept._levels, low: terms}
+    charring._NARROW_AT_ZERO[key] = FormalChar._make(p, kept.top, depth, levels)
+    with pytest.raises(ConsistencyError):
+        char_narrow(lam, depth)
+    try:
+        report = euler_check(lam, depth)
+    except ConsistencyError:
+        pass
+    else:
+        assert not report.equal
+
+
+def test_narrow_store_holds_no_more_terms_than_ch_m0(cold_stores):
+    """A typical weight's narrow product is ch M(0) itself, so after an
+    atypical weight the typical entry must go for the store to fit."""
+    p, depth = P(2, 2), 8
+    typical = weight_from_coords(p, [9, 4], [0, 11])
+    atypical = weight_from_coords(p, [7, 2], [2, 7])
+
+    def held():
+        return sum(len(f.coeffs) for f in charring._NARROW_AT_ZERO.values())
+
+    assert euler_check(typical, depth).equal
+    assert held() == len(charring._VERMA_AT_ZERO[p].coeffs)
+    assert euler_check(atypical, depth).equal
+    assert atypicality(atypical).gamma and (2, 2, ()) not in charring._NARROW_AT_ZERO
+    assert held() <= len(charring._VERMA_AT_ZERO[p].coeffs)
+    for lam in (typical, atypical):  # evicted entries are built again, alike
+        expected = _from_scratch_narrow(lam, depth).to_json_obj()
+        assert char_narrow(lam, depth).to_json_obj() == expected
+        assert held() <= len(charring._VERMA_AT_ZERO[p].coeffs)
+
+
+def test_warm_unit_steps_hash_no_record(monkeypatch):
+    """A unit step finds its packed step by ints, not by hashing its Root
+    and the Root's RankProfile."""
+    p = P(3, 2)
+    f = char_verma(distinguished(p), zero_weight(p), 4)
+    roots = even_positive_roots(p) + odd_positive_roots(p)
+    for beta in roots:
+        f.mul_unit(beta)
+    hashed = []
+    record_hash = Record.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return record_hash(self)
+
+    monkeypatch.setattr(Record, "__hash__", counting)
+    for beta in roots:
+        f.mul_unit(beta, -1).div_unit(beta, -1)
+    assert hashed == []

@@ -569,17 +569,3 @@ def test_consistency_error_is_one_class():
     from superchar import charring, rootdata
 
     assert charring.ConsistencyError is rootdata.ConsistencyError
-
-
-def test_package_has_no_assert_statements():
-    """python -O strips asserts, so no check in the package may be one."""
-    import ast
-    from pathlib import Path
-
-    import superchar
-
-    offenders = []
-    for path in sorted(Path(superchar.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not offenders, f"assert statements in the package: {offenders}"
