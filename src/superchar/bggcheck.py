@@ -241,10 +241,13 @@ def small_rank_exactness(lam: Weight, depth: int) -> ExactnessReport:
 
     (alpha,) = even_positive_roots(p)
     chi = char_simple_td(lam, depth)
-    big = narrow_image_dims(lam, depth)
+    # one ambient for both images, so they share its level walk and its
+    # straightening cache; X v is a lazy seed, built after the cell bound
+    module = antidistinguished_module(lam)
+    big = submodule_weight_ranks(module, map(e_g1_apply, [module], [module.highest_vector()]),
+                                 lam, depth)
 
     # X f^k v, the seed of N(s.lam) embedded in N(lam)'s ambient module
-    module = antidistinguished_module(lam)
     embedded = e_g1_apply(module, singular_vector_even(module, alpha))
     image = submodule_weight_ranks(module, [embedded], lam, depth)
 

@@ -60,7 +60,7 @@ from .rootdata import (
     Root,
     Weight,
     rho_b_shift,
-    atypicality,
+    atypical_roots,
     classify,
     even_positive_roots,
     odd_positive_roots,
@@ -451,10 +451,6 @@ def weyl_sum(lam: Weight, depth: int, term) -> FormalChar:
     return signed[1] + signed.pop(-1).scale(-1)  # popped, so freed once negated
 
 
-def _by_index(roots):
-    return sorted(roots, key=lambda r: (r.i, r.j))
-
-
 def _kept(store: dict, key, depth: int, build) -> FormalChar:
     """store[key] cut to drops <= depth.
 
@@ -488,15 +484,17 @@ def _verma_at_zero(profile: RankProfile, depth: int) -> FormalChar:
 _NARROW_AT_ZERO: dict = {}
 
 
-def _narrow_at_zero(profile: RankProfile, atypical: list, depth: int) -> FormalChar:
+def _narrow_at_zero(profile: RankProfile, atypical: tuple[Root, ...], depth: int) -> FormalChar:
     """prod over odd beta not in Gamma (1+e^{-beta}) / prod over even
     (1-e^{-gamma}), top 0, kept once per atypical set Gamma.
 
-    It is built from a monomial, never from ch M(0), so that `char_narrow`
-    compares two independent series.  A profile's entries together hold
-    no more terms than its cached ch M(0): before a new entry is kept, the
-    least recently used ones are dropped until it fits.  A lone entry
-    always fits, as its support lies in that of ch M(0) at its depth (every
+    `atypical` is Gamma as `atypical_roots` returns it, in root order, so
+    its index pairs key the store as they come.  The series is built from
+    a monomial, never from ch M(0), so that `char_narrow` compares two
+    independent series.  A profile's entries together hold no more terms
+    than its cached ch M(0): before a new entry is kept, the least
+    recently used ones are dropped until it fits.  A lone entry always
+    fits, as its support lies in that of ch M(0) at its depth (every
     factor has nonnegative coefficients, and ch M(0) has more of them).
     """
     m, n = profile.m, profile.n
@@ -556,9 +554,11 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
     Verma series by the atypical factors, made fresh on every call, and as
     the product over the non-atypical odd roots, a new top lam over the
     series `_narrow_at_zero` keeps for Gamma(lam), which was built from a
-    monomial.  So every call checks the Verma store against an independent
-    series.  The closed formula is only established for g_{-1}-generic
-    weights; other inputs are served with a warning.
+    monomial.  Both forms read one Gamma(lam), the tuple of
+    `atypical_roots(lam)` in root order.  So every call checks the Verma
+    store against an independent series.  The closed formula is only
+    established for g_{-1}-generic weights; other inputs are served with a
+    warning.
     """
     p = lam.profile
     if warn and not diagrams.is_g1_generic(lam):
@@ -566,7 +566,7 @@ def char_narrow(lam: Weight, depth: int = DEFAULT_DEPTH, warn: bool = True) -> F
             f"{lam} is not g_-1-generic; the narrow character formula is unproven here",
             stacklevel=2,
         )
-    atypical = _by_index(atypicality(lam).gamma)
+    atypical = atypical_roots(lam)
     quotient = _units(char_verma(distinguished(p), lam, depth), atypical=atypical)
     product = FormalChar._make(p, lam, depth, _narrow_at_zero(p, atypical, depth)._levels)
     if not quotient.equals(product):
@@ -582,9 +582,10 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
 
     Gamma(w.lam) = w(Gamma(lam)), as W only permutes the odd roots; a
     Weyl-independent denominator fails against the exact rank computations
-    of the narrow submodules.  The ch M(0) unit factors are applied once to
-    the whole inner `weyl_sum` (unit factors commute, and both are exact on
-    the window).
+    of the narrow submodules.  Each summand divides by the tuple
+    `atypical_roots(w.lam)` as it comes, in root order.  The ch M(0) unit
+    factors are applied once to the whole inner `weyl_sum` (unit factors
+    commute, and both are exact on the window).
     Top coefficient 1 and nonnegativity are checked here; the equality with
     the narrow resolution's Euler characteristic is `bggcheck.euler_check`.
     """
@@ -594,8 +595,7 @@ def char_simple_td(lam: Weight, depth: int = DEFAULT_DEPTH) -> FormalChar:
         raise ValueError(f"{lam} must be regular dominant")
     if not diagrams.is_totally_disconnected(lam):
         raise ValueError(f"{lam} is not totally disconnected")
-    inner = weyl_sum(lam, depth, lambda nu, d: _units(monomial(nu, d),
-                                                      atypical=_by_index(atypicality(nu).gamma)))
+    inner = weyl_sum(lam, depth, lambda nu, d: _units(monomial(nu, d), atypical=atypical_roots(nu)))
     chi = _units(inner, odd_positive_roots(p), even_positive_roots(p))
     if chi.coeff(lam) != 1:
         raise ConsistencyError("simple character is not normalized at its top weight")

@@ -156,14 +156,14 @@ def cmd_atyp(args) -> int:
     p = _profile(args)
     lam = _weight_from_args(args, p)
     b = _borel_from_args(args, p)
-    result = rootdata.atypicality(lam, b)
-    gamma = sorted(result.gamma, key=lambda r: (r.i, r.j))
+    aty = rootdata.atypicality(lam, b)
+    gamma = rootdata.atypical_roots(lam)
     lines = [
-        f"atypicality: {result.aty}",
+        f"atypicality: {aty}",
         f"atypical distinguished-positive roots: {', '.join(map(str, gamma)) or '(none)'}",
     ]
     obj = {
-        "atypicality": result.aty,
+        "atypicality": aty,
         "gamma": [[r.i, r.j] for r in gamma],
     }
     _emit(args, lines, obj)

@@ -511,41 +511,36 @@ def classify(lam: Weight) -> WeightFlags:
 # Atypicality
 
 
-class Atypicality(Record):
-    __slots__ = ("aty", "gamma")
-
-    def __init__(self, aty: int, gamma: frozenset[Root]):
-        object.__setattr__(self, "aty", aty)
-        object.__setattr__(self, "gamma", gamma)
-
-
-def atypicality(lam: Weight, borel=None) -> Atypicality:
+def atypicality(lam: Weight, borel=None) -> int:
     """Maximal number of mutually orthogonal odd roots vanishing on lam+rho^b.
 
-    `aty` is the atypicality of lam + rho^b for the given Borel b
+    This is the atypicality of lam + rho^b for the given Borel b
     (distinguished when None), that is, of the b-highest weight lam.  For
     one fixed lam it depends on b; it agrees across Borels only for the
-    transported highest weights of one simple module.  `gamma` is always
-    the distinguished-Borel atypical set {beta odd positive :
-    (lam + rho, beta) = 0}.
+    transported highest weights of one simple module.
 
-    Both are read off one coordinate tuple.  Let c be the coefficients of
+    It is a count, not a matching search.  Let c be the coefficients of
     lam + rho^b with the delta block negated, that is
     `encode(lam + rho^b - rho)`, with e = c[:m] and d = c[m:].  Then
-    (lam + rho^b, eps_i - delta_j) = e_i - d_j, so `gamma` is the set of
-    eps_i - delta_j with e_i = d_j for b distinguished.  `aty` is a count,
-    not a matching search: two distinct odd roots eps_i - delta_j,
-    eps_k - delta_l are orthogonal exactly when i != k and j != l, so `aty`
-    is a maximum matching in the bipartite graph with an edge i -- j when
-    e_i = d_j.  Equality makes that graph a disjoint union of complete
-    bipartite blocks, one per value v, and a complete block matches
-    min(#{i : e_i = v}, #{j : d_j = v}) pairs.  The sum of these minima
-    over v is the size of the multiset intersection of e and d.
+    (lam + rho^b, eps_i - delta_j) = e_i - d_j.  Two distinct odd roots
+    eps_i - delta_j, eps_k - delta_l are orthogonal exactly when i != k and
+    j != l, so the atypicality is a maximum matching in the bipartite graph
+    with an edge i -- j when e_i = d_j.  Equality makes that graph a
+    disjoint union of complete bipartite blocks, one per value v, and a
+    complete block matches min(#{i : e_i = v}, #{j : d_j = v}) pairs.  The
+    sum of these minima over v is the size of the multiset intersection of
+    e and d.
     """
-    p = lam.profile
-    m = p.m
+    c = encode(lam if borel is None else lam + rho_b_shift(borel))
+    m = lam.profile.m
+    return sum((Counter(c[:m]) & Counter(c[m:])).values())
+
+
+def atypical_roots(lam: Weight) -> tuple[Root, ...]:
+    """Gamma(lam) = {beta odd positive : (lam + rho, beta) = 0}, for the
+    distinguished Borel, as the cached `odd_positive_roots` that vanish on
+    lam + rho, in their (i, j) order: with c = `encode(lam)`, the roots
+    eps_i - delta_j with c_i = c_{m+j}.  At a regular weight it has
+    `atypicality(lam)` roots; at a singular one it may have more."""
     c = encode(lam)
-    gamma = frozenset(beta for beta in odd_positive_roots(p) if c[beta.i - 1] == c[beta.j - 1])
-    if borel is not None:
-        c = encode(lam + rho_b_shift(borel))
-    return Atypicality(sum((Counter(c[:m]) & Counter(c[m:])).values()), gamma)
+    return tuple(beta for beta in odd_positive_roots(lam.profile) if c[beta.i - 1] == c[beta.j - 1])

@@ -9,15 +9,15 @@ from superchar.bggcheck import (
     image_check,
     small_rank_exactness,
 )
-from superchar.borels import distinguished
+from superchar.borels import antidistinguished, distinguished
 from superchar.charring import FormalChar, char_narrow, char_verma, zero_char
 from superchar.rootdata import (
     RankProfile,
-    atypicality,
+    atypical_roots,
     odd_positive_roots,
     weight_from_coords,
 )
-from superchar.vermacalc import narrow_image_dims
+from superchar.vermacalc import VermaModule, narrow_image_dims
 
 
 def P(m, n):
@@ -130,7 +130,7 @@ def test_restriction_check():
     ]
     for p, (eps, delta), depth in cases:
         lam = weight_from_coords(p, eps, delta)
-        gamma = atypicality(lam).gamma
+        gamma = atypical_roots(lam)
         usable = [beta for beta in odd_positive_roots(p) if beta not in gamma]
         expected = even_verma_subset_sum(lam, usable, depth)
         assert char_narrow(lam, depth, warn=False).to_json_obj() == expected.to_json_obj()
@@ -139,7 +139,7 @@ def test_restriction_check():
 def test_restriction_subset_counts():
     p = P(2, 1)
     lam = weight_from_coords(p, [3, 0], [3])
-    assert len(atypicality(lam).gamma) == 1  # so 2 of the 4 subsets survive
+    assert len(atypical_roots(lam)) == 1  # so 2 of the 4 subsets survive
 
 
 def test_small_rank_exactness_rejects():
@@ -150,6 +150,20 @@ def test_small_rank_exactness_rejects():
     # regular dominant, but the eps gap 1 is not more than n = 1
     with pytest.raises(ValueError, match="not g_-1-generic"):
         small_rank_exactness(weight_from_coords(P(2, 1), [1, 0], [5]), 2)
+
+
+def test_small_rank_exactness_builds_one_ambient_per_narrow_module(monkeypatch):
+    """The images of X v and X f^k v are taken in one ambient module, so
+    they share its level walk and straightening cache; N(s.lam) has its
+    own.  Two anti-distinguished modules, with distinct highest weights."""
+    built = []
+    init = VermaModule.__init__
+    monkeypatch.setattr(VermaModule, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for p, (eps, delta) in [(P(2, 1), ([3, 0], [3])), (P(1, 2), ([9], [0, 4]))]:
+        built.clear()
+        assert small_rank_exactness(weight_from_coords(p, eps, delta), 3).passed
+        ambients = [lam for b, lam in built if b == antidistinguished(p)]
+        assert len(ambients) == len(set(ambients)) == 2
 
 
 def test_antidominant_generic_narrow_is_simple_gl11():

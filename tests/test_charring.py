@@ -17,7 +17,6 @@ from superchar.charring import (
     ConsistencyError,
     DepthError,
     FormalChar,
-    _by_index,
     _units,
     char_even_simple,
     char_kac,
@@ -34,7 +33,7 @@ from superchar.rootdata import (
     Record,
     Root,
     Weight,
-    atypicality,
+    atypical_roots,
     basis_weight,
     classify,
     dot_action,
@@ -702,7 +701,7 @@ def test_gamma_is_pairwise_orthogonal_at_regular_weights(m, n, data):
     delta = data.draw(st.lists(st.integers(-3, 3), unique=True, min_size=n, max_size=n))
     lam = weight_from_coords(p, eps, delta)
     assert classify(lam).regular
-    gamma = [beta.as_weight() for beta in atypicality(lam).gamma]
+    gamma = [beta.as_weight() for beta in atypical_roots(lam)]
     assert all(pairing(a, b) == 0 for a in gamma for b in gamma)
 
 
@@ -710,7 +709,7 @@ def test_gamma_of_a_singular_weight_need_not_be_orthogonal():
     p = P(2, 2)
     lam = weight_from_coords(p, [5, 5], [5, 9])
     assert not classify(lam).regular
-    assert atypicality(lam).gamma == {Root(p, 1, 3), Root(p, 2, 3)}
+    assert atypical_roots(lam) == (Root(p, 1, 3), Root(p, 2, 3))
     assert pairing(Root(p, 1, 3).as_weight(), Root(p, 2, 3).as_weight()) == -1
 
 
@@ -988,7 +987,7 @@ def test_euler_closed_side_equals_the_convolution(case):
     p = lam.profile
     window = [(nu, w.sign) for w, nu in weyl_window(lam, depth)]
     inner = _summand_by_summand(
-        lam, depth, window, lambda nu: {"atypical": _by_index(atypicality(nu).gamma)}
+        lam, depth, window, lambda nu: {"atypical": atypical_roots(nu)}
     )
     expected = char_verma(distinguished(p), zero_weight(p), depth).mul(inner)
     assert char_simple_td(lam, depth).to_json_obj() == expected.to_json_obj()
@@ -1206,7 +1205,7 @@ def test_sweep_builds_the_verma_series_once(monkeypatch, cold_stores):
 
 def _from_scratch_narrow(lam, depth):
     p = lam.profile
-    gamma = atypicality(lam).gamma
+    gamma = atypical_roots(lam)
     odd = [beta for beta in odd_positive_roots(p) if beta not in gamma]
     return _units(monomial(lam, depth), odd, even_positive_roots(p))
 
@@ -1233,7 +1232,7 @@ def test_warm_char_narrow_divides_only_by_gamma(monkeypatch, cold_stores):
     finds the first one's series."""
     p, depth = P(3, 3), 6
     eps, delta = [16, 8, 0], [0, 8, 16]
-    gamma = atypicality(weight_from_coords(p, eps, delta)).gamma
+    gamma = atypical_roots(weight_from_coords(p, eps, delta))
     assert len(gamma) == 3
     calls = _counting_unit_steps(monkeypatch)
     counts = []
@@ -1283,7 +1282,7 @@ def test_narrow_store_holds_no_more_terms_than_ch_m0(cold_stores):
     assert euler_check(typical, depth).equal
     assert held() == len(charring._VERMA_AT_ZERO[p].coeffs)
     assert euler_check(atypical, depth).equal
-    assert atypicality(atypical).gamma and (2, 2, ()) not in charring._NARROW_AT_ZERO
+    assert atypical_roots(atypical) and (2, 2, ()) not in charring._NARROW_AT_ZERO
     assert held() <= len(charring._VERMA_AT_ZERO[p].coeffs)
     for lam in (typical, atypical):  # evicted entries are built again, alike
         expected = _from_scratch_narrow(lam, depth).to_json_obj()
@@ -1291,7 +1290,21 @@ def test_narrow_store_holds_no_more_terms_than_ch_m0(cold_stores):
         assert held() <= len(charring._VERMA_AT_ZERO[p].coeffs)
 
 
-def test_warm_unit_steps_hash_no_record(monkeypatch):
+def record_hashes(call) -> Counter:
+    """The `Record.__hash__` calls made while call() runs, by class name."""
+    hashed = Counter()
+    record_hash = Record.__hash__
+
+    def counting(self):
+        hashed[type(self).__name__] += 1
+        return record_hash(self)
+
+    with patch.object(Record, "__hash__", counting):
+        call()
+    return hashed
+
+
+def test_warm_unit_steps_hash_no_record():
     """A unit step finds its packed step by ints, not by hashing its Root
     and the Root's RankProfile."""
     p = P(3, 2)
@@ -1299,14 +1312,26 @@ def test_warm_unit_steps_hash_no_record(monkeypatch):
     roots = even_positive_roots(p) + odd_positive_roots(p)
     for beta in roots:
         f.mul_unit(beta)
-    hashed = []
-    record_hash = Record.__hash__
 
-    def counting(self):
-        hashed.append(self)
-        return record_hash(self)
+    def steps():
+        for beta in roots:
+            f.mul_unit(beta, -1).div_unit(beta, -1)
 
-    monkeypatch.setattr(Record, "__hash__", counting)
-    for beta in roots:
-        f.mul_unit(beta, -1).div_unit(beta, -1)
-    assert hashed == []
+    assert record_hashes(steps) == Counter()
+
+
+def test_warm_bench_euler_check_hashes_no_root(cold_stores):
+    """The bench's `euler` input: gl(4|3) coordinates (15,10,5,0|0,5,10)
+    shifted by a common c, at depth 6.  Once warm, every summand reads
+    Gamma as the cached odd roots that `atypical_roots` keeps, in order,
+    and the narrow store is keyed by their index pairs: no Root is hashed."""
+    p, depth = P(4, 3), 6
+
+    def shifted(c):
+        return weight_from_coords(p, [e + c for e in (15, 10, 5, 0)], [d + c for d in (0, 5, 10)])
+
+    assert euler_check(shifted(3), depth).equal
+    reports = []
+    hashed = record_hashes(lambda: reports.append(euler_check(shifted(7), depth)))
+    assert reports[0].equal
+    assert hashed["Root"] == 0 and sum(hashed.values()) <= 105

@@ -61,7 +61,7 @@ def test_diagram_vee_count_is_atypicality():
             lam = weight_from_coords(p, eps, delta)
             found += 1
             d = weight_diagram(lam)
-            assert len(d.positions("vee")) == atypicality(lam).aty
+            assert len(d.positions("vee")) == atypicality(lam)
 
 
 def test_diagram_round_trip():
@@ -109,7 +109,7 @@ def test_atypicality_at_most_one_is_disconnected():
         eps = sorted(rng.sample(range(-6, 7), 2), reverse=True)
         delta = sorted(rng.sample(range(-6, 7), 2))
         lam = weight_from_coords(p, eps, delta)
-        if atypicality(lam).aty <= 1:
+        if atypicality(lam) <= 1:
             found += 1
             assert is_totally_disconnected(lam)
 

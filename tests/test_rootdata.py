@@ -12,6 +12,7 @@ from superchar.rootdata import (
     Root,
     Weight,
     WeylElt,
+    atypical_roots,
     atypicality,
     ber,
     basis_weight,
@@ -346,17 +347,17 @@ def brute_force_atypicality(lam, b):
 
 def test_atypicality_examples():
     p = P(1, 1)
-    r = atypicality(zero_weight(p))
-    assert r.aty == 1 and r.gamma == {Root(p, 1, 2)}
+    lam = zero_weight(p)
+    assert atypicality(lam) == 1 and atypical_roots(lam) == (Root(p, 1, 2),)
 
     p = P(2, 1)
-    r = atypicality(weight_from_coords(p, [3, 0], [5]))
-    assert r.aty == 0 and r.gamma == frozenset()
+    lam = weight_from_coords(p, [3, 0], [5])
+    assert atypicality(lam) == 0 and atypical_roots(lam) == ()
 
     p = P(2, 2)
-    r = atypicality(weight_from_coords(p, [5, 2], [5, 2]))
-    assert r.aty == 2
-    assert r.gamma == {Root(p, 1, 3), Root(p, 2, 4)}
+    lam = weight_from_coords(p, [5, 2], [5, 2])
+    assert atypicality(lam) == 2
+    assert atypical_roots(lam) == (Root(p, 1, 3), Root(p, 2, 4))
 
 
 def test_atypicality_matches_brute_force():
@@ -367,25 +368,38 @@ def test_atypicality_matches_brute_force():
         borels = enumerate_borels(p)
         for _ in range(30):
             lam = random_weight(rng, p, -3, 3)
-            assert atypicality(lam).aty == brute_force_atypicality(lam, None)
+            assert atypicality(lam) == brute_force_atypicality(lam, None)
             for b in borels:
-                assert atypicality(lam, b).aty == brute_force_atypicality(lam, b)
+                assert atypicality(lam, b) == brute_force_atypicality(lam, b)
 
 
 def test_gamma_matches_pairing_definition():
-    # gamma is read off coordinate coincidences; the definition pairs roots
+    # Gamma is read off coordinate coincidences; the definition pairs roots.
+    # It is the cached odd roots filtered in (i, j) order, and at a regular
+    # weight it has as many roots as the atypicality counts.
     rng = random.Random(31)
-    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]:
+    seen = set()
+    for m, n in itertools.product(range(1, 4), repeat=2):
         p = P(m, n)
         b0 = distinguished(p)
-        for _ in range(40):
-            lam = random_weight(rng, p, -3, 3)
+        odd = odd_positive_roots(p)
+        for k in range(80):
+            if k % 2:  # regular coordinates, in any order
+                lam = weight_from_coords(p, rng.sample(range(-3, 4), m), rng.sample(range(-3, 4), n))
+            else:
+                lam = random_weight(rng, p, -3, 3)
             shifted = lam + rho(p)
-            expected = {
-                beta for beta in odd_positive_roots(p) if pairing(shifted, beta.as_weight()) == 0
-            }
-            assert atypicality(lam).gamma == expected
+            gamma = atypical_roots(lam)
+            assert type(gamma) is tuple
+            assert gamma == tuple(beta for beta in odd if pairing(shifted, beta.as_weight()) == 0)
+            assert all(any(beta is r for r in odd) for beta in gamma)
+            assert all((a.i, a.j) < (b.i, b.j) for a, b in zip(gamma, gamma[1:]))
+            regular = classify(lam).regular
+            if regular:
+                assert len(gamma) == atypicality(lam)
             assert atypicality(lam, b0) == atypicality(lam)
+            seen.add((regular, len(gamma) > 1))
+    assert len(seen) == 4  # regular or not, with at most one atypical root or more
 
 
 def test_atypicality_invariant_under_verma_transport():
@@ -396,7 +410,7 @@ def test_atypicality_invariant_under_verma_transport():
         borels = enumerate_borels(p)
         for _ in range(15):
             lam = random_weight(rng, p, -3, 3)
-            values = {atypicality(lam - rho_b(b), b).aty for b in borels}
+            values = {atypicality(lam - rho_b(b), b) for b in borels}
             assert len(values) == 1
 
 
@@ -418,8 +432,8 @@ def test_atypicality_invariant_under_simple_transport():
                 else:
                     moved = lam - aw
                 assert (
-                    atypicality(moved, e.target).aty
-                    == atypicality(lam, e.source).aty
+                    atypicality(moved, e.target)
+                    == atypicality(lam, e.source)
                 )
 
 
@@ -428,9 +442,9 @@ def test_atypicality_constant_on_dot_orbits():
     p = P(2, 2)
     for _ in range(20):
         lam = random_weight(rng, p, -4, 4)
-        base = atypicality(lam).aty
+        base = atypicality(lam)
         for w in weyl_group(p):
-            assert atypicality(dot_action(w, lam)).aty == base
+            assert atypicality(dot_action(w, lam)) == base
 
 
 # -- Weyl group --------------------------------------------------------------
@@ -525,9 +539,9 @@ def test_atypical_set_moves_with_the_dot_action(lam):
     """Gamma(w.lam) = w(Gamma(lam)): W only permutes the odd roots, so the
     narrow summands of the Weyl sum divide out the moved atypical set."""
     assert classify(lam).regular and classify(lam).dominant
-    gamma = [beta.as_weight() for beta in atypicality(lam).gamma]
+    gamma = [beta.as_weight() for beta in atypical_roots(lam)]
     for w in weyl_group(lam.profile):
-        moved = {beta.as_weight() for beta in atypicality(dot_action(w, lam)).gamma}
+        moved = {beta.as_weight() for beta in atypical_roots(dot_action(w, lam))}
         assert moved == {w.act(beta) for beta in gamma}
 
 

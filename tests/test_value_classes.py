@@ -25,10 +25,6 @@ FROZEN = {
     "Root": (("profile", "i", "j"), "Root(profile=RankProfile(m=2, n=1), i=1, j=3)"),
     "WeylElt": (("sigma", "tau"), "WeylElt(sigma=(2, 1), tau=(1,))"),
     "WeightFlags": (("regular", "dominant"), "WeightFlags(regular=True, dominant=True)"),
-    "Atypicality": (
-        ("aty", "gamma"),
-        "Atypicality(aty=1, gamma=frozenset({Root(profile=RankProfile(m=2, n=1), i=1, j=3)}))",
-    ),
     "BorelElt": (
         ("profile", "partition"),
         "BorelElt(profile=RankProfile(m=2, n=1), partition=(1,))",
@@ -80,7 +76,6 @@ SAMPLES = {
     "Root": lambda: rootdata.Root(P21, 1, 3),
     "WeylElt": lambda: rootdata.WeylElt((2, 1), (1,)),
     "WeightFlags": lambda: rootdata.classify(LAM),
-    "Atypicality": lambda: rootdata.atypicality(LAM),
     "BorelElt": lambda: borels.BorelElt(P21, (1,)),
     "OddReflectionEdge": lambda: borels.borel_graph(P21)[0],
     "WeightDiagram": lambda: diagrams.weight_diagram(LAM),
